@@ -18,6 +18,8 @@
 //     is loaded from the file if it exists and written (atomically:
 //     temp file + fsync + rename) right after enrollment. Pairs burned
 //     while serving traffic are NOT persisted — a crash forgets them.
+//     The file is written as a v3 binary snapshot; v1 and v2 JSON
+//     files, written before it, still load.
 //   - -wal <dir> is the durable mode: every mutation (enrollment, pair
 //     burn, key rotation, challenge-counter advance, delete) is
 //     journaled to a write-ahead log before the operation returns, the
@@ -34,7 +36,7 @@
 // Usage:
 //
 //	authd [-addr :7430] [-devices 4] [-seed 1] [-bits 256] [-cache 1048576]
-//	      [-state db.json] [-wal waldir] [-compact 1m] [-max-inflight 0]
+//	      [-state db.snap] [-wal waldir] [-compact 1m] [-max-inflight 0]
 //	      [-wire-proto auto]
 //
 // -max-inflight caps concurrent transactions: beyond it the server

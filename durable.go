@@ -66,9 +66,10 @@ func OpenDurableServer(dir string, cfg ServerConfig, seed uint64, opt WALOptions
 	// Decorrelate this boot's challenge draws from the pre-crash
 	// server's: both start from the same seed, and the registry already
 	// holds the pairs the old stream produced, so replaying the stream
-	// verbatim would sample nothing but burned pairs. The journal tail
-	// sequence is distinct per boot (the log only grows).
-	srv.SaltChallengeStream(w.CommittedSeq())
+	// verbatim would sample nothing but burned pairs. The recovered
+	// challenge counters differ from those of every earlier boot that
+	// drew from the stream.
+	srv.SaltChallengeStream(srv.ChallengeCount())
 	srv.AttachJournal(w)
 	return &DurableServer{Server: srv, wal: w}, nil
 }

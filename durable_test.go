@@ -3,6 +3,8 @@ package authenticache_test
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -350,5 +352,146 @@ func TestDurableCloseReopenEmptyTail(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("graceful close + reopen changed the database")
+	}
+}
+
+// TestDurableRebootAfterCompactionDrawsFreshPairs: every boot must
+// draw a challenge stream of its own. Each boot used to salt its
+// stream with the log's committed sequence, which counts only the
+// records committed since the open and so is 0 on every boot. A crash
+// image of a boot that followed a compacting Close, recovered with the
+// same seed, then redrew the stream that had burned the image's pairs:
+// with 256 of 134 M pairs burned, its first issue failed as exhausted.
+func TestDurableRebootAfterCompactionDrawsFreshPairs(t *testing.T) {
+	const seed = 33
+	dir := t.TempDir()
+	cfg := authenticache.DefaultServerConfig()
+	id := authenticache.ClientID("dev-0")
+	ds, err := authenticache.OpenDurableServer(dir, cfg, seed, fastWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Enroll(dctx, id, durableTestMap(16384, 100, 5, 680)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, err := authenticache.OpenDurableServer(dir, cfg, seed, fastWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if _, err := rs.IssueChallenge(dctx, id); err != nil {
+		t.Fatal(err)
+	}
+
+	crash := copyWALDir(t, dir, "", -1)
+	cs, err := authenticache.OpenDurableServer(crash, cfg, seed, fastWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	if _, err := cs.IssueChallenge(dctx, id); err != nil {
+		t.Fatalf("recovered crash image refused its first challenge: %v", err)
+	}
+}
+
+// TestDurableRecoversV2Snapshot: a log directory written before the
+// binary snapshot holds a v2 JSON snapshot.json. Recovery loads all of
+// it — every client, key, counter and burned pair — and the next
+// compaction rewrites it as a v3 snapshot.
+func TestDurableRecoversV2Snapshot(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("internal", "auth", "testdata", "state-v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture struct {
+		Clients []struct {
+			ID     string `json:"id"`
+			Key    string `json:"key"`
+			NextID uint64 `json:"next_challenge_id"`
+		} `json:"clients"`
+	}
+	if err := json.Unmarshal(v2, &fixture); err != nil {
+		t.Fatal(err)
+	}
+	// The reference is the snapshot loaded by a plain server, whose
+	// read of every burned pair internal/auth's TestLoadStateV2Fixture
+	// checks pair by pair; recovery must reach the same state.
+	cfg := authenticache.DefaultServerConfig()
+	ref := authenticache.NewServer(cfg, 4)
+	if err := ref.LoadState(bytes.NewReader(v2)); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := ref.SaveState(&want); err != nil {
+		t.Fatal(err)
+	}
+	sameState := func(srv *authenticache.Server) {
+		t.Helper()
+		var got bytes.Buffer
+		if err := srv.SaveState(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("recovered state differs from the v2 snapshot's: %d bytes, want %d", got.Len(), want.Len())
+		}
+	}
+
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snapshot.json")
+	if err := os.WriteFile(snap, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := authenticache.OpenDurableServer(dir, cfg, 4, fastWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.ClientIDs()) != len(fixture.Clients) {
+		t.Fatalf("recovered %d clients, want %d", len(ds.ClientIDs()), len(fixture.Clients))
+	}
+	for _, c := range fixture.Clients {
+		key, err := ds.CurrentKey(authenticache.ClientID(c.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hex.EncodeToString(key[:]) != c.Key {
+			t.Fatalf("%s: key changed across recovery", c.ID)
+		}
+	}
+	sameState(ds.Server)
+
+	if err := ds.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, []byte("ACSNAPv3")) || len(b) >= len(v2) {
+		t.Fatalf("compaction left a %d-byte snapshot starting %q, want a smaller v3 one", len(b), b[:min(len(b), 8)])
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, err := authenticache.OpenDurableServer(dir, cfg, 4, fastWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sameState(rs.Server)
+	// The counters carried over: each client's next challenge takes
+	// the id the v2 snapshot recorded.
+	for _, c := range fixture.Clients {
+		ch, err := rs.IssueChallenge(dctx, authenticache.ClientID(c.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch.ID != c.NextID {
+			t.Fatalf("%s: next challenge id %d, want %d", c.ID, ch.ID, c.NextID)
+		}
 	}
 }

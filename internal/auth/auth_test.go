@@ -25,7 +25,7 @@ func enrolledPair(t *testing.T, cfg Config, enrolled, field *errormap.Map, reser
 	return srv, resp
 }
 
-func testMap(t *testing.T, lines, k int, seed uint64, vdds ...int) *errormap.Map {
+func testMap(t testing.TB, lines, k int, seed uint64, vdds ...int) *errormap.Map {
 	t.Helper()
 	g := errormap.NewGeometry(lines)
 	m := errormap.NewMap(g)

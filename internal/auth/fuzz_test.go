@@ -12,7 +12,8 @@ import (
 // corrupted or malicious state files: arbitrary input must either load
 // a usable database or be rejected cleanly.
 func FuzzLoadState(f *testing.F) {
-	// Seed with a real state file.
+	// Seed with real state files: a fresh enrollment and a database
+	// with burned pairs, both in v3, and the v2 fixture.
 	g := errormap.NewGeometry(1024)
 	m := errormap.NewMap(g)
 	m.AddPlane(680, errormap.RandomPlane(g, 20, rng.New(77)))
@@ -28,6 +29,16 @@ func FuzzLoadState(f *testing.F) {
 	f.Add("")
 	f.Add("{}")
 	f.Add(`{"version":1,"clients":[{"id":"x","map":"!!!","key":"00"}]}`)
+	v2 := readFixture(f, "state-v2.json")
+	f.Add(string(v2))
+	if err := srv.LoadState(strings.NewReader(string(v2))); err != nil {
+		f.Fatal(err)
+	}
+	sb.Reset()
+	if err := srv.SaveState(&sb); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sb.String())
 
 	f.Fuzz(func(t *testing.T, data string) {
 		target := NewServer(DefaultConfig(), 2)

@@ -99,7 +99,7 @@ func TestMultiVddUnknownClient(t *testing.T) {
 // The same physical pair may appear at two different voltages — they
 // are distinct challenge points per the paper's 3D (x, y, V) space.
 func TestSamePairDifferentPlanesAllowed(t *testing.T) {
-	reg := crp.NewRegistry()
+	reg := crp.NewRegistryLines(16)
 	if !reg.Consume(&crp.Challenge{Bits: []crp.PairBit{{A: 1, B: 2, VddMV: 660}}}) {
 		t.Fatal("first consume failed")
 	}

@@ -31,8 +31,11 @@ func TestSaveLoadRoundTripUnderVerifyTraffic(t *testing.T) {
 		}
 	}
 
-	// Burn a first round of pairs, then capture each client's
-	// consumed set: this is "burned before the save".
+	// Burn a first round of pairs, journaling each client's physical
+	// pairs: this is "burned before the save". The journal detaches
+	// before the concurrent traffic starts.
+	preSave := burnLog{byID: make(map[ClientID][]crp.PairBit, clients)}
+	srv.AttachJournal(&preSave)
 	for _, id := range ids {
 		for j := 0; j < 4; j++ {
 			ch, err := srv.IssueChallenge(ctx, id)
@@ -44,17 +47,7 @@ func TestSaveLoadRoundTripUnderVerifyTraffic(t *testing.T) {
 			}
 		}
 	}
-	preSave := make(map[ClientID][]crp.PairBit, clients)
-	for _, id := range ids {
-		rec, ok := srv.store.Get(id)
-		if !ok {
-			t.Fatalf("client %s vanished", id)
-		}
-		rec.mu.Lock()
-		preSave[id] = rec.registry.Export()
-		rec.mu.Unlock()
-	}
-
+	srv.AttachJournal(nil)
 	// Save concurrently with fresh traffic on every client.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -94,7 +87,7 @@ func TestSaveLoadRoundTripUnderVerifyTraffic(t *testing.T) {
 	if err := loaded.LoadState(&snapshot); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	for id, pairs := range preSave {
+	for id, pairs := range preSave.byID {
 		rec, ok := loaded.store.Get(id)
 		if !ok {
 			t.Fatalf("client %s missing after load", id)
@@ -108,4 +101,16 @@ func TestSaveLoadRoundTripUnderVerifyTraffic(t *testing.T) {
 		}
 		rec.mu.Unlock()
 	}
+}
+
+// burnLog journals each client's burned pairs; the other mutations are
+// irrelevant here.
+type burnLog struct {
+	captureJournal
+	byID map[ClientID][]crp.PairBit
+}
+
+func (l *burnLog) JournalBurn(id string, pairs []crp.PairBit, _ uint64, _ int) error {
+	l.byID[ClientID(id)] = append(l.byID[ClientID(id)], pairs...)
+	return nil
 }

@@ -172,13 +172,32 @@ func (s *Server) randUint64() uint64 {
 // the registry already holds burned — every subsequent sample walks
 // straight down the consumed prefix and issuance dies with a spurious
 // CodeExhausted, even though the pair space is almost entirely free.
-// Salting with a per-boot quantity (the WAL tail sequence, a node
-// index) decorrelates the streams while staying deterministic for a
-// given (seed, salt), so simulations remain reproducible.
+// Salting with a per-boot quantity (ChallengeCount, folded with a
+// node index in a cluster) decorrelates the streams while staying
+// deterministic for a given (seed, salt), so simulations remain
+// reproducible.
 func (s *Server) SaltChallengeStream(salt uint64) {
 	s.randMu.Lock()
 	s.rand = s.rand.SplitNamed(fmt.Sprintf("salt/%d", salt))
 	s.randMu.Unlock()
+}
+
+// ChallengeCount sums the enrolled clients' challenge counters. Every
+// authentication challenge and key update draws from the challenge
+// stream, advances its client's counter and journals the advance, so
+// after recovery the sum differs from the sum every earlier boot that
+// drew from the stream started with: the per-boot salt recovery
+// needs. (Deleting a client lowers the sum, so a boot that deleted one
+// can share a salt with an earlier boot.)
+func (s *Server) ChallengeCount() uint64 {
+	var n uint64
+	s.store.Range(func(_ ClientID, rec *clientRecord) bool {
+		rec.mu.Lock()
+		n += rec.nextID
+		rec.mu.Unlock()
+		return true
+	})
+	return n
 }
 
 // LogicalPlane permutes a physical error plane into the keyed logical

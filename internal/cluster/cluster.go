@@ -286,8 +286,8 @@ func Open(cfg Config) (*Node, error) {
 	// derived from the same seed: the primary's (a follower replaying
 	// the primary's burns while walking the primary's draw sequence
 	// samples nothing but burned pairs) and this node's own pre-crash
-	// boots (the journal tail sequence is distinct per boot).
-	srv.SaltChallengeStream(uint64(cfg.NodeIndex)<<32 ^ w.CommittedSeq())
+	// boots (the recovered challenge counters differ per boot).
+	srv.SaltChallengeStream(uint64(cfg.NodeIndex)<<32 ^ srv.ChallengeCount())
 
 	n := &Node{
 		cfg:        cfg,

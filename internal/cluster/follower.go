@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -156,18 +157,31 @@ func (n *Node) followOnce(ctx context.Context, target int) (synced bool) {
 	if err := conn.SetReadDeadline(time.Now().Add(4 * n.cfg.AckTimeout)); err != nil {
 		return
 	}
+	// A primary that hangs up before its snapshot (it is no longer
+	// primary, or is closing) ends the session quietly; a snapshot
+	// frame that arrives and is refused says why.
 	b := wire.GetBuf()
-	if err := wire.ReadFrameInto(br, b, maxRepFrame); err != nil || b.Op != wire.OpRepSnapshot {
+	if err := wire.ReadFrameInto(br, b, maxRepFrame); err != nil {
+		if !errors.Is(err, io.EOF) {
+			n.log("snapshot from node %d: %v", target, err)
+		}
+		wire.PutBuf(b)
+		return
+	}
+	if b.Op != wire.OpRepSnapshot {
+		n.log("node %d sent %v where its snapshot belongs", target, b.Op)
 		wire.PutBuf(b)
 		return
 	}
 	snap, err := wire.DecodeRepSnapshot(b.B)
 	if err != nil {
+		n.log("snapshot from node %d: %v", target, err)
 		wire.PutBuf(b)
 		return
 	}
 	n.mu.Lock()
 	if snap.Term < n.term || n.role != RoleFollower {
+		n.log("refusing snapshot from node %d at term %d (at term %d, %v)", target, snap.Term, n.term, n.role)
 		n.mu.Unlock()
 		wire.PutBuf(b)
 		return

@@ -134,6 +134,10 @@ func (n *Node) serveFollower(ctx context.Context, conn net.Conn) {
 	}
 	fc := &followerConn{n: n, conn: conn, idx: int(hello.NodeIndex)}
 	frame := wire.AppendRepSnapshot(nil, wire.RepSnapshot{Term: term, SnapSeq: snapSeq, State: state.Bytes()})
+	if size := len(frame) - wire.HeaderLen; size > maxRepFrame {
+		n.log("snapshot for node %d takes %d bytes, over the %d-byte frame cap: dropping the session", hello.NodeIndex, size, maxRepFrame)
+		return
+	}
 	if err := fc.send(frame); err != nil {
 		return
 	}
@@ -197,13 +201,19 @@ func (fc *followerConn) streamLoop(ctx context.Context, term uint64, sub *wal.Su
 // replication quorum never blocks the acknowledgements that satisfy
 // it.
 func (fc *followerConn) readLoop(ctx context.Context, br *bufio.Reader) {
+	// The first frame acknowledges the snapshot, which the follower
+	// sends only once it has loaded and persisted it: that gets the
+	// hello's allowance, not a lease, or a large state would be cut
+	// off and re-sent forever.
+	wait := 4 * fc.n.cfg.AckTimeout
 	for {
 		if ctx.Err() != nil {
 			return
 		}
-		if err := fc.conn.SetReadDeadline(time.Now().Add(fc.n.cfg.LeaseTimeout)); err != nil {
+		if err := fc.conn.SetReadDeadline(time.Now().Add(wait)); err != nil {
 			return
 		}
+		wait = fc.n.cfg.LeaseTimeout
 		b := wire.GetBuf()
 		if err := wire.ReadFrameInto(br, b, maxRepFrame); err != nil {
 			wire.PutBuf(b)

@@ -16,7 +16,6 @@ package crp
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/errormap"
 	"repro/internal/rng"
@@ -244,260 +243,4 @@ func DailyAuthentications(lines, crpBits, lifetimeDays int) uint64 {
 		panic("crp: invalid lifetime parameters")
 	}
 	return PossibleCRPs(lines) / uint64(crpBits) / uint64(lifetimeDays)
-}
-
-// pairKey canonicalises an unordered pair at a voltage.
-type pairKey struct {
-	lo, hi, vdd int
-}
-
-func canonical(b PairBit) pairKey {
-	if b.A <= b.B {
-		return pairKey{b.A, b.B, b.VddMV}
-	}
-	return pairKey{b.B, b.A, b.VddMV}
-}
-
-// maxDensePairs bounds the dense representation: a voltage plane
-// whose full pair space fits in this many bits (8 MiB of bitset) is
-// tracked densely; anything larger falls back to the hash map so a
-// big cache never preallocates gigabytes for a mostly-unused space.
-const maxDensePairs = 1 << 26
-
-// Registry tracks consumed pairs so no pair is ever reused in either
-// orientation. It is safe for concurrent use.
-//
-// Two representations share the one API. The sparse form hashes each
-// canonical pair into a map — memory proportional to consumption,
-// cost proportional to hashing. The dense form (NewRegistryLines,
-// when the geometry's n(n-1)/2 pair space is small enough) keeps one
-// lazily-allocated bitset per voltage plane and indexes pairs by
-// their triangular number: probes and burns are single bit
-// operations, which is what keeps the registry off the wire
-// protocol's hot-path profile.
-type Registry struct {
-	mu   sync.Mutex
-	used map[pairKey]struct{} // sparse mode; nil in dense mode
-
-	// Dense mode.
-	lines  int              // 0 in sparse mode
-	npairs uint64           // lines*(lines-1)/2
-	planes map[int][]uint64 // vdd -> triangular bitset
-	count  int              // set bits across planes
-	undo   []densePair      // scratch for Consume rollback, reused under mu
-}
-
-// densePair names one tentatively-consumed bit for rollback.
-type densePair struct {
-	vdd int
-	idx uint64
-}
-
-// NewRegistry creates an empty sparse registry (unknown geometry).
-func NewRegistry() *Registry {
-	return &Registry{used: make(map[pairKey]struct{})}
-}
-
-// NewRegistryLines creates an empty registry for a known cache
-// geometry, choosing the dense bitset representation when the pair
-// space is small enough and the sparse map otherwise.
-func NewRegistryLines(lines int) *Registry {
-	if lines > 1 && PossibleCRPs(lines) <= maxDensePairs {
-		return &Registry{lines: lines, npairs: PossibleCRPs(lines), planes: make(map[int][]uint64)}
-	}
-	return NewRegistry()
-}
-
-// pairIndexLocked maps the canonical pair lo < hi onto its triangular-number
-// index in [0, lines*(lines-1)/2).
-func (reg *Registry) pairIndexLocked(lo, hi int) uint64 {
-	l, h, n := uint64(lo), uint64(hi), uint64(reg.lines)
-	return l*n - l*(l+1)/2 + h - l - 1
-}
-
-// planeLocked returns (allocating lazily) the bitset of one voltage
-// plane. Callers hold reg.mu.
-func (reg *Registry) planeLocked(vdd int) []uint64 {
-	p, ok := reg.planes[vdd]
-	if !ok {
-		p = make([]uint64, (reg.npairs+63)/64)
-		reg.planes[vdd] = p
-	}
-	return p
-}
-
-// inRangeLocked reports whether the canonical pair is addressable by the
-// dense bitset; out-of-geometry coordinates (possible on hostile or
-// restored input) take the panic-free path.
-func (reg *Registry) inRangeLocked(k pairKey) bool {
-	return k.lo >= 0 && k.hi < reg.lines && k.lo < k.hi
-}
-
-// Used reports the number of consumed pairs.
-func (reg *Registry) Used() int {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if reg.lines > 0 {
-		return reg.count
-	}
-	return len(reg.used)
-}
-
-// Consume atomically checks that none of the challenge's pairs have
-// been used and marks them all used. If any pair (in either
-// orientation) was already consumed — including a challenge reusing
-// its own pair internally, which is as replayable as reusing a past
-// one — nothing is marked and the method returns false.
-func (reg *Registry) Consume(c *Challenge) bool {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if reg.lines > 0 {
-		return reg.consumeDenseLocked(c)
-	}
-	// Sparse: insert tentatively — the second occurrence of an
-	// in-challenge duplicate finds the first insert — and roll back
-	// on any collision.
-	inserted := 0
-	for _, b := range c.Bits {
-		k := canonical(b)
-		if _, dup := reg.used[k]; dup {
-			for _, rb := range c.Bits[:inserted] {
-				delete(reg.used, canonical(rb))
-			}
-			return false
-		}
-		reg.used[k] = struct{}{}
-		inserted++
-	}
-	return true
-}
-
-// consumeDenseLocked is Consume for the bitset representation:
-// tentatively set each pair's bit, rolling back every set bit if one
-// is already burned. Callers hold reg.mu.
-func (reg *Registry) consumeDenseLocked(c *Challenge) bool {
-	reg.undo = reg.undo[:0]
-	for _, b := range c.Bits {
-		k := canonical(b)
-		if !reg.inRangeLocked(k) {
-			reg.rollbackLocked()
-			return false
-		}
-		idx := reg.pairIndexLocked(k.lo, k.hi)
-		p := reg.planeLocked(k.vdd)
-		w, mask := idx/64, uint64(1)<<(idx%64)
-		if p[w]&mask != 0 {
-			reg.rollbackLocked()
-			return false
-		}
-		p[w] |= mask
-		reg.undo = append(reg.undo, densePair{vdd: k.vdd, idx: idx})
-	}
-	reg.count += len(reg.undo)
-	reg.undo = reg.undo[:0]
-	return true
-}
-
-// rollbackLocked clears the tentatively-set bits of a failed Consume.
-// Callers hold reg.mu.
-func (reg *Registry) rollbackLocked() {
-	for _, d := range reg.undo {
-		p := reg.planes[d.vdd]
-		p[d.idx/64] &^= uint64(1) << (d.idx % 64)
-	}
-	reg.undo = reg.undo[:0]
-}
-
-// Mark force-records pairs as consumed without the no-reuse check.
-// Journal replay uses it: a replayed burn may overlap pairs the
-// snapshot already holds, and re-marking a consumed pair is the
-// idempotent direction (a pair can only ever become *more* dead).
-func (reg *Registry) Mark(pairs []PairBit) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	for _, p := range pairs {
-		k := canonical(p)
-		if reg.lines > 0 {
-			if !reg.inRangeLocked(k) {
-				continue
-			}
-			idx := reg.pairIndexLocked(k.lo, k.hi)
-			pl := reg.planeLocked(k.vdd)
-			w, mask := idx/64, uint64(1)<<(idx%64)
-			if pl[w]&mask == 0 {
-				pl[w] |= mask
-				reg.count++
-			}
-			continue
-		}
-		reg.used[k] = struct{}{}
-	}
-}
-
-// IsUsed reports whether the pair of a single bit was consumed before.
-func (reg *Registry) IsUsed(b PairBit) bool {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	k := canonical(b)
-	if reg.lines > 0 {
-		if !reg.inRangeLocked(k) {
-			return false
-		}
-		idx := reg.pairIndexLocked(k.lo, k.hi)
-		p, ok := reg.planes[k.vdd]
-		return ok && p[idx/64]&(1<<(idx%64)) != 0
-	}
-	_, ok := reg.used[k]
-	return ok
-}
-
-// Export returns the consumed pairs in canonical orientation, for
-// persisting an authentication server's state. Order is unspecified.
-func (reg *Registry) Export() []PairBit {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if reg.lines > 0 {
-		// Walk rows in triangular order: consecutive idx values are
-		// (lo,lo+1), (lo,lo+2), ..., then the next lo. Whole zero
-		// words are skipped in one hop.
-		out := make([]PairBit, 0, reg.count)
-		for vdd, p := range reg.planes {
-			idx := uint64(0)
-			for lo := 0; lo < reg.lines-1; lo++ {
-				for hi := lo + 1; hi < reg.lines; {
-					if idx%64 == 0 && hi+64 <= reg.lines && p[idx/64] == 0 {
-						idx += 64
-						hi += 64
-						continue
-					}
-					if p[idx/64]&(1<<(idx%64)) != 0 {
-						out = append(out, PairBit{A: lo, B: hi, VddMV: vdd})
-					}
-					idx++
-					hi++
-				}
-			}
-		}
-		return out
-	}
-	out := make([]PairBit, 0, len(reg.used))
-	for k := range reg.used {
-		out = append(out, PairBit{A: k.lo, B: k.hi, VddMV: k.vdd})
-	}
-	return out
-}
-
-// RestoreRegistry rebuilds a sparse registry from exported pairs.
-func RestoreRegistry(pairs []PairBit) *Registry {
-	reg := NewRegistry()
-	reg.Mark(pairs)
-	return reg
-}
-
-// RestoreRegistryLines rebuilds a registry from exported pairs with a
-// known geometry, so restoration keeps the dense representation.
-func RestoreRegistryLines(lines int, pairs []PairBit) *Registry {
-	reg := NewRegistryLines(lines)
-	reg.Mark(pairs)
-	return reg
 }

@@ -182,45 +182,61 @@ func TestDailyAuthenticationsTable1(t *testing.T) {
 	}
 }
 
+// registryForms builds an empty registry of each representation over
+// the same geometry, so the registry tests hold for both.
+var registryForms = []struct {
+	name string
+	new  func(lines int) *Registry
+}{
+	{"dense", func(lines int) *Registry { return newRegistry(lines, true) }},
+	{"sparse", func(lines int) *Registry { return newRegistry(lines, false) }},
+}
+
 func TestRegistryRejectsReuse(t *testing.T) {
-	reg := NewRegistry()
-	c1 := &Challenge{Bits: []PairBit{{A: 1, B: 2, VddMV: 680}, {A: 3, B: 4, VddMV: 680}}}
-	if !reg.Consume(c1) {
-		t.Fatal("fresh challenge rejected")
-	}
-	if reg.Used() != 2 {
-		t.Fatalf("used = %d", reg.Used())
-	}
-	// Same pair, swapped orientation, must be rejected.
-	c2 := &Challenge{Bits: []PairBit{{A: 2, B: 1, VddMV: 680}}}
-	if reg.Consume(c2) {
-		t.Fatal("swapped pair accepted")
-	}
-	// Same pair at a different voltage is a different challenge point.
-	c3 := &Challenge{Bits: []PairBit{{A: 2, B: 1, VddMV: 700}}}
-	if !reg.Consume(c3) {
-		t.Fatal("same pair at different Vdd rejected")
+	for _, f := range registryForms {
+		reg := f.new(16)
+		c1 := &Challenge{Bits: []PairBit{{A: 1, B: 2, VddMV: 680}, {A: 3, B: 4, VddMV: 680}}}
+		if !reg.Consume(c1) {
+			t.Fatalf("%s: fresh challenge rejected", f.name)
+		}
+		if reg.Used() != 2 {
+			t.Fatalf("%s: used = %d", f.name, reg.Used())
+		}
+		// Same pair, swapped orientation, must be rejected.
+		c2 := &Challenge{Bits: []PairBit{{A: 2, B: 1, VddMV: 680}}}
+		if reg.Consume(c2) {
+			t.Fatalf("%s: swapped pair accepted", f.name)
+		}
+		// Same pair at a different voltage is a different challenge point.
+		c3 := &Challenge{Bits: []PairBit{{A: 2, B: 1, VddMV: 700}}}
+		if !reg.Consume(c3) {
+			t.Fatalf("%s: same pair at different Vdd rejected", f.name)
+		}
 	}
 }
 
 func TestRegistryRejectionIsAtomic(t *testing.T) {
-	reg := NewRegistry()
-	reg.Consume(&Challenge{Bits: []PairBit{{A: 9, B: 8, VddMV: 1}}})
-	// Second bit collides; first bit must NOT be burned.
-	c := &Challenge{Bits: []PairBit{{A: 5, B: 6, VddMV: 1}, {A: 8, B: 9, VddMV: 1}}}
-	if reg.Consume(c) {
-		t.Fatal("colliding challenge accepted")
-	}
-	if reg.IsUsed(PairBit{A: 5, B: 6, VddMV: 1}) {
-		t.Fatal("rejected challenge leaked pairs into the registry")
+	for _, f := range registryForms {
+		reg := f.new(16)
+		reg.Consume(&Challenge{Bits: []PairBit{{A: 9, B: 8, VddMV: 1}}})
+		// Second bit collides; first bit must NOT be burned.
+		c := &Challenge{Bits: []PairBit{{A: 5, B: 6, VddMV: 1}, {A: 8, B: 9, VddMV: 1}}}
+		if reg.Consume(c) {
+			t.Fatalf("%s: colliding challenge accepted", f.name)
+		}
+		if reg.IsUsed(PairBit{A: 5, B: 6, VddMV: 1}) {
+			t.Fatalf("%s: rejected challenge leaked pairs into the registry", f.name)
+		}
 	}
 }
 
 func TestRegistryRejectsInternalDuplicates(t *testing.T) {
-	reg := NewRegistry()
-	c := &Challenge{Bits: []PairBit{{A: 1, B: 2, VddMV: 1}, {A: 2, B: 1, VddMV: 1}}}
-	if reg.Consume(c) {
-		t.Fatal("challenge with internally duplicated pair accepted")
+	for _, f := range registryForms {
+		reg := f.new(16)
+		c := &Challenge{Bits: []PairBit{{A: 1, B: 2, VddMV: 1}, {A: 2, B: 1, VddMV: 1}}}
+		if reg.Consume(c) {
+			t.Fatalf("%s: challenge with internally duplicated pair accepted", f.name)
+		}
 	}
 }
 
@@ -230,15 +246,20 @@ func TestRegistryOrientationProperty(t *testing.T) {
 		if a == b {
 			return true
 		}
-		reg := NewRegistry()
-		first := PairBit{A: int(a), B: int(b), VddMV: 0}
-		second := first
-		if swap {
-			second.A, second.B = second.B, second.A
+		for _, form := range registryForms {
+			reg := form.new(256)
+			first := PairBit{A: int(a), B: int(b), VddMV: 0}
+			second := first
+			if swap {
+				second.A, second.B = second.B, second.A
+			}
+			ok1 := reg.Consume(&Challenge{Bits: []PairBit{first}})
+			ok2 := reg.Consume(&Challenge{Bits: []PairBit{second}})
+			if !ok1 || ok2 {
+				return false
+			}
 		}
-		ok1 := reg.Consume(&Challenge{Bits: []PairBit{first}})
-		ok2 := reg.Consume(&Challenge{Bits: []PairBit{second}})
-		return ok1 && !ok2
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,32 +1,32 @@
 package crp
 
 import (
-	"sort"
+	"bytes"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// The registry has two representations behind one API: the sparse
-// hash map and, for small-enough geometries, the dense triangular
-// bitset. These tests drive both side by side through randomized
-// workloads and assert every observable agrees, so the fast path can
-// never quietly diverge from the reference semantics.
+// The registry has two representations behind one API: per-plane hash
+// sets of pair indexes and, for small-enough geometries, the dense
+// triangular bitset. These tests drive both side by side through
+// randomized workloads and assert every observable agrees, so the fast
+// path can never quietly diverge from the reference semantics.
 
 // denseLines is small enough that NewRegistryLines picks the dense
 // representation (n(n-1)/2 = 4950 pairs).
 const denseLines = 100
 
 func TestNewRegistryLinesPicksRepresentation(t *testing.T) {
-	if reg := NewRegistryLines(denseLines); reg.lines == 0 {
+	if reg := NewRegistryLines(denseLines); !reg.dense {
 		t.Fatalf("NewRegistryLines(%d): want dense representation, got sparse", denseLines)
 	}
 	// 16384 lines is the authd default geometry: 134M pairs, beyond
-	// maxDensePairs — must fall back to the map.
-	if reg := NewRegistryLines(16384); reg.lines != 0 {
+	// maxDensePairs — must fall back to the hash sets.
+	if reg := NewRegistryLines(16384); reg.dense {
 		t.Fatalf("NewRegistryLines(16384): want sparse fallback, got dense")
 	}
-	if reg := NewRegistryLines(0); reg.lines != 0 {
+	if reg := NewRegistryLines(0); reg.dense {
 		t.Fatalf("NewRegistryLines(0): want sparse fallback, got dense")
 	}
 }
@@ -47,27 +47,14 @@ func randomChallenge(r *rng.Rand, nbits int) *Challenge {
 	return c
 }
 
-func sortPairs(ps []PairBit) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := canonical(ps[i]), canonical(ps[j])
-		if a.vdd != b.vdd {
-			return a.vdd < b.vdd
-		}
-		if a.lo != b.lo {
-			return a.lo < b.lo
-		}
-		return a.hi < b.hi
-	})
-}
-
 // TestDenseSparseEquivalence runs the same random Consume/Mark/IsUsed
 // workload against both representations and checks that every return
-// value, Used count, and the final Export set match exactly.
+// value, Used count, and the final encoding match exactly.
 func TestDenseSparseEquivalence(t *testing.T) {
 	r := rng.New(42)
 	dense := NewRegistryLines(denseLines)
-	sparse := NewRegistry()
-	if dense.lines == 0 {
+	sparse := newRegistry(denseLines, false)
+	if !dense.dense {
 		t.Fatal("test geometry did not select the dense representation")
 	}
 
@@ -100,16 +87,10 @@ func TestDenseSparseEquivalence(t *testing.T) {
 		}
 	}
 
-	de, se := dense.Export(), sparse.Export()
-	sortPairs(de)
-	sortPairs(se)
-	if len(de) != len(se) {
-		t.Fatalf("Export length diverged: dense=%d sparse=%d", len(de), len(se))
-	}
-	for i := range de {
-		if canonical(de[i]) != canonical(se[i]) {
-			t.Fatalf("Export[%d] diverged: dense=%+v sparse=%+v", i, de[i], se[i])
-		}
+	// The encoding is canonical, so the same burned set encodes to the
+	// same bytes whichever representation holds it.
+	if de, se := dense.AppendEncoded(nil), sparse.AppendEncoded(nil); !bytes.Equal(de, se) {
+		t.Fatalf("encodings diverged: dense %d bytes, sparse %d bytes", len(de), len(se))
 	}
 }
 
@@ -151,22 +132,25 @@ func TestDenseConsumeRejectsInternalDuplicates(t *testing.T) {
 }
 
 func TestDenseOutOfRangeCoordinates(t *testing.T) {
-	reg := NewRegistryLines(denseLines)
 	// Hostile or corrupt input can carry coordinates beyond the
-	// geometry; the dense bitset cannot address them and must refuse
-	// without panicking. Mark (replay path) skips them instead.
-	if reg.Consume(&Challenge{Bits: []PairBit{{A: 0, B: denseLines, VddMV: 680}}}) {
-		t.Fatal("out-of-geometry pair consumed")
-	}
-	if reg.Consume(&Challenge{Bits: []PairBit{{A: -1, B: 3, VddMV: 680}}}) {
-		t.Fatal("negative coordinate consumed")
-	}
-	reg.Mark([]PairBit{{A: 0, B: denseLines, VddMV: 680}, {A: 4, B: 5, VddMV: 680}})
-	if got := reg.Used(); got != 1 {
-		t.Fatalf("Used=%d after Mark with one out-of-range pair, want 1", got)
-	}
-	if reg.IsUsed(PairBit{A: 0, B: denseLines, VddMV: 680}) {
-		t.Fatal("out-of-geometry pair reported used")
+	// geometry. They have no pair index, so neither form can address
+	// them: Consume must refuse them without panicking, and Mark
+	// (replay path) skips them instead.
+	for _, f := range registryForms {
+		reg := f.new(denseLines)
+		if reg.Consume(&Challenge{Bits: []PairBit{{A: 0, B: denseLines, VddMV: 680}}}) {
+			t.Fatalf("%s: out-of-geometry pair consumed", f.name)
+		}
+		if reg.Consume(&Challenge{Bits: []PairBit{{A: -1, B: 3, VddMV: 680}}}) {
+			t.Fatalf("%s: negative coordinate consumed", f.name)
+		}
+		reg.Mark([]PairBit{{A: 0, B: denseLines, VddMV: 680}, {A: 4, B: 5, VddMV: 680}})
+		if got := reg.Used(); got != 1 {
+			t.Fatalf("%s: Used=%d after Mark with one out-of-range pair, want 1", f.name, got)
+		}
+		if reg.IsUsed(PairBit{A: 0, B: denseLines, VddMV: 680}) {
+			t.Fatalf("%s: out-of-geometry pair reported used", f.name)
+		}
 	}
 }
 
@@ -176,27 +160,28 @@ func TestDenseExportRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		reg.Consume(randomChallenge(r, 1+r.Intn(8)))
 	}
-	exported := reg.Export()
-
-	restored := RestoreRegistryLines(denseLines, exported)
-	//lint:ignore lockcheck restored is freshly built and test-local; lines is read only to assert the dense representation survived
-	if restored.lines == 0 {
+	enc := reg.AppendEncoded(nil)
+	restored, rest, err := DecodeRegistry(denseLines, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rest) != 0 {
+		t.Fatalf("decode left %d bytes", len(rest))
+	}
+	if !restored.dense {
 		t.Fatal("restore did not keep the dense representation")
 	}
 	if got, want := restored.Used(), reg.Used(); got != want {
 		t.Fatalf("restored Used=%d, want %d", got, want)
 	}
-	for _, p := range exported {
-		if !restored.IsUsed(p) {
-			t.Fatalf("restored registry lost pair %+v", p)
-		}
-	}
-	// Restoring into a sparse registry (geometry unknown) keeps the
-	// same burned set.
-	sparse := RestoreRegistry(exported)
-	for _, p := range exported {
-		if !sparse.IsUsed(p) {
-			t.Fatalf("sparse restore lost pair %+v", p)
+	for _, vdd := range []int{640, 680, 720} {
+		for a := 0; a < denseLines; a++ {
+			for b := a + 1; b < denseLines; b++ {
+				p := PairBit{A: a, B: b, VddMV: vdd}
+				if restored.IsUsed(p) != reg.IsUsed(p) {
+					t.Fatalf("restored registry disagrees on pair %+v", p)
+				}
+			}
 		}
 	}
 }

@@ -22,6 +22,11 @@
 //	wal-00000002.log
 //	snapshot.json
 //
+// The snapshot is whatever the save function given to Compact writes:
+// auth.Server.SaveState's v3 binary snapshot, kept under the file's
+// historical name (versions 1 and 2 were JSON, and directories written
+// by them still load), so no directory ever needs renaming.
+//
 // Every segment starts with the 8-byte magic "ACWALv1\n". Records
 // follow as length-prefixed frames:
 //

@@ -33,6 +33,9 @@ fi
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark harness tests (nested module: one tiny run, recovery and compaction included) =="
+(cd perfbench && go test -count=1 ./...)
+
 echo "== wal recovery tests =="
 go test -count=1 -run 'TestKillMidWriteEveryTruncation|TestCorruptCRC|TestReplayIdempotence' ./internal/wal/
 go test -count=1 -run 'TestDurableCrashRecoveryTruncationSweep|TestDurableCompactionUnderVerifyTraffic' .
