@@ -122,20 +122,22 @@ type MapGeometry = errormap.Geometry
 // NewMapGeometry returns the near-square layout for n cache lines.
 func NewMapGeometry(lines int) MapGeometry { return errormap.NewGeometry(lines) }
 
-// WireServer and WireClient expose the protocol over TCP (newline-
-// delimited JSON).
+// WireServer exposes the protocol over TCP in the multiplexed binary
+// framing (docs/PROTOCOL.md).
 type WireServer = auth.WireServer
 
-// WireClient is the TCP client transport.
+// WireClient is the TCP client transport. It is safe for concurrent
+// use: overlapping transactions pipeline over the one connection,
+// each on its own stream.
 type WireClient = auth.WireClient
 
 // NewWireServer wraps a Server for TCP serving.
 func NewWireServer(s *Server) *WireServer { return auth.NewWireServer(s) }
 
 // WireConfig tunes the wire server's hardening limits and overload
-// shedding (message size cap, per-conn transaction cap, idle timeout,
-// in-flight transaction cap, connection cap). The zero value keeps
-// the defaults with shedding disabled.
+// shedding (frame size cap, per-conn transaction cap, idle timeout,
+// in-flight transaction cap, connection cap, per-conn stream cap).
+// The zero value keeps the defaults with shedding disabled.
 type WireConfig = auth.WireConfig
 
 // NewWireServerConfig wraps a Server for TCP serving with explicit
@@ -145,43 +147,19 @@ func NewWireServerConfig(s *Server, cfg WireConfig) (*WireServer, error) {
 }
 
 // Dial connects to a WireServer; ctx bounds the connection attempt.
-// It speaks the v1 newline-JSON framing; use DialV2 or DialProto for
-// the multiplexed binary framing.
 func Dial(ctx context.Context, addr string) (*WireClient, error) { return auth.Dial(ctx, addr) }
 
-// Proto selects a wire framing: ProtoAuto negotiates per connection,
-// ProtoV1 forces newline-delimited JSON, ProtoV2 forces the
-// multiplexed binary framing (pipelined transactions over one
-// connection).
-type Proto = auth.Proto
-
-// Wire framing selectors; see Proto.
-const (
-	ProtoAuto = auth.ProtoAuto
-	ProtoV1   = auth.ProtoV1
-	ProtoV2   = auth.ProtoV2
-)
-
-// ParseProto maps the spellings "auto", "v1", "v2" (and "") onto a
-// Proto; flag and config parsing use it.
-func ParseProto(s string) (Proto, error) { return auth.ParseProto(s) }
-
-// DialV2 connects speaking the v2 multiplexed binary framing. The
-// returned client is safe for concurrent use: overlapping transactions
-// pipeline over the one connection, each on its own stream.
-func DialV2(ctx context.Context, addr string) (*WireClient, error) { return auth.DialV2(ctx, addr) }
-
-// DialProto connects with an explicit framing choice. The server is
-// the negotiating party, so ProtoAuto means v1 on the client side.
-func DialProto(ctx context.Context, addr string, proto Proto) (*WireClient, error) {
-	return auth.DialProto(ctx, addr, proto)
-}
+// DialV2 is Dial.
+//
+// Deprecated: there is one framing; use Dial.
+func DialV2(ctx context.Context, addr string) (*WireClient, error) { return auth.Dial(ctx, addr) }
 
 // ResilientClient is a WireClient that survives a hostile wire:
 // dropped connections redial, transient failures retry with capped
 // exponential backoff and jitter, and protocol verdicts (a burned
-// challenge, a rejection) surface immediately without a retry. Not
-// safe for concurrent use; give each goroutine its own client.
+// challenge, a rejection) surface immediately without a retry. It is
+// safe for concurrent use: concurrent transactions pipeline over one
+// shared connection.
 type ResilientClient = auth.ResilientClient
 
 // RetryPolicy tunes a ResilientClient's retry loop; the zero value
@@ -193,17 +171,9 @@ type RetryPolicy = auth.RetryPolicy
 // reconnects, and shed responses.
 type RetryStats = auth.RetryStats
 
-// DialResilient connects to a WireServer with retry behaviour,
-// speaking v1.
+// DialResilient connects to a WireServer with retry behaviour.
 func DialResilient(ctx context.Context, addr string, policy RetryPolicy) (*ResilientClient, error) {
 	return auth.DialResilient(ctx, addr, policy)
-}
-
-// DialResilientProto connects with retry behaviour and an explicit
-// framing. With ProtoV2, concurrent transactions on the returned
-// client pipeline over one shared connection.
-func DialResilientProto(ctx context.Context, addr string, policy RetryPolicy, proto Proto) (*ResilientClient, error) {
-	return auth.DialResilientProto(ctx, addr, policy, proto)
 }
 
 // Retryable reports whether an error is safe to retry as a fresh

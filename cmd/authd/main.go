@@ -37,16 +37,13 @@
 //
 //	authd [-addr :7430] [-devices 4] [-seed 1] [-bits 256] [-cache 1048576]
 //	      [-state db.snap] [-wal waldir] [-compact 1m] [-max-inflight 0]
-//	      [-wire-proto auto]
 //
 // -max-inflight caps concurrent transactions: beyond it the server
 // sheds with a retryable "unavailable" verdict instead of queueing
 // unboundedly (resilient clients back off and retry).
 //
-// -wire-proto selects the wire framing: "auto" (default) negotiates
-// per connection — a v2 preamble selects the multiplexed binary
-// framing, anything else the v1 newline-JSON loop; "v1" and "v2"
-// force one framing and reject the other. See docs/PROTOCOL.md.
+// Clients speak the multiplexed binary framing of docs/PROTOCOL.md;
+// a connection that does not open with its preamble is hung up on.
 //
 // # Cluster modes
 //
@@ -122,7 +119,6 @@ func main() {
 	walDir := flag.String("wal", "", "write-ahead log directory: journal every mutation, recover on boot (durable mode)")
 	compactEvery := flag.Duration("compact", time.Minute, "WAL compaction interval (with -wal)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent transactions before shedding with 'unavailable' (0 = unlimited)")
-	wireProto := flag.String("wire-proto", "auto", "wire framing: auto (negotiate per connection), v1 (newline JSON only), v2 (multiplexed binary only)")
 	role := flag.String("role", "standalone", "cluster role: standalone, primary, follower, or router")
 	nodeIdx := flag.Int("node", 0, "this node's index into -peers (primary/follower)")
 	peers := flag.String("peers", "", "comma-separated replication addresses, one per node (primary/follower)")
@@ -130,11 +126,6 @@ func main() {
 	replicate := flag.Int("replicate", 1, "follower acknowledgements required before a mutation is durable (primary)")
 	resil := registerResilience(flag.CommandLine)
 	flag.Parse()
-
-	proto, err := authenticache.ParseProto(*wireProto)
-	if err != nil {
-		log.Fatalf("authd: %v", err)
-	}
 
 	// SIGINT or SIGTERM (what init systems and container runtimes send)
 	// drains the daemon: the serve loop and every in-flight transaction
@@ -149,18 +140,18 @@ func main() {
 	case "standalone":
 		// Fall through to the single-node paths below.
 	case "router":
-		runRouter(ctx, splitAddrs(*clientPeers), *addr, *maxInflight, proto, resil)
+		runRouter(ctx, splitAddrs(*clientPeers), *addr, *maxInflight, resil)
 		return
 	case "primary", "follower":
 		runClusterNode(ctx, cfg, *role, *nodeIdx, splitAddrs(*peers), splitAddrs(*clientPeers),
-			*walDir, *addr, *devices, *seed, *cacheBytes, *replicate, *maxInflight, proto, resil)
+			*walDir, *addr, *devices, *seed, *cacheBytes, *replicate, *maxInflight, resil)
 		return
 	default:
 		log.Fatalf("authd: unknown -role %q (standalone, primary, follower, router)", *role)
 	}
 
 	if *walDir != "" {
-		runDurable(ctx, cfg, *walDir, *statePath, *addr, *devices, *seed, *cacheBytes, *compactEvery, *maxInflight, proto)
+		runDurable(ctx, cfg, *walDir, *statePath, *addr, *devices, *seed, *cacheBytes, *compactEvery, *maxInflight)
 		return
 	}
 
@@ -174,7 +165,7 @@ func main() {
 			}
 			f.Close()
 			printProvisioned(srv, " (restored)")
-			if err := serve(ctx, srv, *addr, *maxInflight, proto); err != nil {
+			if err := serve(ctx, srv, *addr, *maxInflight); err != nil {
 				log.Fatalf("authd: serve: %v", err)
 			}
 			return
@@ -195,14 +186,14 @@ func main() {
 		}
 		log.Printf("authd: enrollment database written to %s", *statePath)
 	}
-	if err := serve(ctx, srv, *addr, *maxInflight, proto); err != nil {
+	if err := serve(ctx, srv, *addr, *maxInflight); err != nil {
 		log.Fatalf("authd: serve: %v", err)
 	}
 }
 
 // runDurable serves with the write-ahead log: recover on boot,
 // journal while serving, compact periodically, snapshot on drain.
-func runDurable(ctx context.Context, cfg authenticache.ServerConfig, walDir, statePath, addr string, devices int, seed uint64, cacheBytes int, compactEvery time.Duration, maxInflight int, proto authenticache.Proto) {
+func runDurable(ctx context.Context, cfg authenticache.ServerConfig, walDir, statePath, addr string, devices int, seed uint64, cacheBytes int, compactEvery time.Duration, maxInflight int) {
 	ds, err := authenticache.OpenDurableServer(walDir, cfg, seed^0xd5e7, authenticache.WALOptions{})
 	if err != nil {
 		log.Fatalf("authd: open WAL: %v", err)
@@ -256,7 +247,7 @@ func runDurable(ctx context.Context, cfg authenticache.ServerConfig, walDir, sta
 		}
 	}()
 
-	if err := serve(ctx, ds.Server, addr, maxInflight, proto); err != nil {
+	if err := serve(ctx, ds.Server, addr, maxInflight); err != nil {
 		log.Printf("authd: serve: %v", err)
 	}
 	// Drained: take the final snapshot so the next boot replays an
@@ -332,7 +323,7 @@ func splitAddrs(s string) []string {
 // relayed to its client's consistent-hash owner node, with the
 // resilience knobs (hedging, breakers, staleness skip) from the
 // command line and the background prober feeding the detector.
-func runRouter(ctx context.Context, clientPeers []string, addr string, maxInflight int, proto authenticache.Proto, resil *resilienceFlags) {
+func runRouter(ctx context.Context, clientPeers []string, addr string, maxInflight int, resil *resilienceFlags) {
 	if len(clientPeers) == 0 {
 		log.Fatal("authd: -role router requires -client-peers")
 	}
@@ -342,7 +333,7 @@ func runRouter(ctx context.Context, clientPeers []string, addr string, maxInflig
 	}))
 	defer router.Close()
 	router.Start(ctx)
-	ws, err := authenticache.NewWireServerBackend(router, authenticache.WireConfig{MaxInFlight: maxInflight, Proto: proto})
+	ws, err := authenticache.NewWireServerBackend(router, authenticache.WireConfig{MaxInFlight: maxInflight})
 	if err != nil {
 		log.Fatalf("authd: %v", err)
 	}
@@ -360,7 +351,7 @@ func runRouter(ctx context.Context, clientPeers []string, addr string, maxInflig
 // the initial primary (it enrolls the fleet once enough followers are
 // connected to acknowledge durably), every other index starts as a
 // follower syncing from it.
-func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role string, nodeIdx int, peers, clientPeers []string, walDir, addr string, devices int, seed uint64, cacheBytes, replicate, maxInflight int, proto authenticache.Proto, resil *resilienceFlags) {
+func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role string, nodeIdx int, peers, clientPeers []string, walDir, addr string, devices int, seed uint64, cacheBytes, replicate, maxInflight int, resil *resilienceFlags) {
 	if walDir == "" {
 		log.Fatalf("authd: -role %s requires -wal", role)
 	}
@@ -417,7 +408,7 @@ func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role st
 		log.Printf("authd: following the primary at %s", peers[node.Status().PrimaryIndex])
 	}
 
-	ws, err := node.NewWireServer(authenticache.WireConfig{MaxInFlight: maxInflight, Proto: proto})
+	ws, err := node.NewWireServer(authenticache.WireConfig{MaxInFlight: maxInflight})
 	if err != nil {
 		log.Fatalf("authd: %v", err)
 	}
@@ -437,8 +428,8 @@ func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role st
 	log.Printf("authd: final snapshot written to %s", walDir)
 }
 
-func serve(ctx context.Context, srv *authenticache.Server, addr string, maxInflight int, proto authenticache.Proto) error {
-	ws, err := authenticache.NewWireServerConfig(srv, authenticache.WireConfig{MaxInFlight: maxInflight, Proto: proto})
+func serve(ctx context.Context, srv *authenticache.Server, addr string, maxInflight int) error {
+	ws, err := authenticache.NewWireServerConfig(srv, authenticache.WireConfig{MaxInFlight: maxInflight})
 	if err != nil {
 		return err
 	}

@@ -5,8 +5,7 @@
 //
 // Every worker owns a distinct enrolled device and loops full
 // authentication transactions (challenge → PUF evaluation → verify →
-// session key) over its own TCP connection. With -proto v2 the worker
-// speaks the multiplexed binary framing and -depth lanes pipeline
+// session key) over its own TCP connection, and -depth lanes pipeline
 // concurrent transactions over that one connection.
 //
 // With -nodes N the single server becomes an in-process replicated
@@ -15,9 +14,9 @@
 // dials — the same topology `authd -role primary/follower/router`
 // builds across processes.
 //
-//	go run ./examples/loadtest                  # v1 lock-step JSON
-//	go run ./examples/loadtest -proto v2 -depth 8
-//	go run ./examples/loadtest -nodes 3 -proto v2 -depth 4
+//	go run ./examples/loadtest
+//	go run ./examples/loadtest -depth 8
+//	go run ./examples/loadtest -nodes 3 -depth 4
 package main
 
 import (
@@ -47,22 +46,14 @@ const (
 )
 
 func main() {
-	protoName := flag.String("proto", "v1", "wire framing: v1 (lock-step JSON) or v2 (multiplexed binary)")
-	depth := flag.Int("depth", 1, "pipeline depth per connection (v2 only: lanes sharing one connection)")
+	depth := flag.Int("depth", 1, "pipeline depth per connection (lanes sharing one connection)")
 	nodeCount := flag.Int("nodes", 1, "cluster size: 1 serves directly, N>1 replicates behind a consistent-hash router")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "router hedge delay before trying the ring successor (clustered only; 0 = library default, negative disables)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures that open a peer's breaker (clustered only; 0 = library default, negative disables)")
 	maxStaleness := flag.Int64("max-staleness", 0, "follower lag bound for serving reads (clustered only; 0 = library default, negative disables)")
 	flag.Parse()
-	proto, err := authenticache.ParseProto(*protoName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *depth < 1 {
 		log.Fatal("loadtest: -depth must be >= 1")
-	}
-	if *depth > 1 && proto != authenticache.ProtoV2 {
-		log.Fatal("loadtest: -depth > 1 needs -proto v2 (v1 is lock-step)")
 	}
 	if *nodeCount < 1 {
 		log.Fatal("loadtest: -nodes must be >= 1")
@@ -76,7 +67,7 @@ func main() {
 	var ingress string
 	var topology string
 	if *nodeCount > 1 {
-		cluster, err := startCluster(ctx, *nodeCount, cfg, proto, resilience{
+		cluster, err := startCluster(ctx, *nodeCount, cfg, resilience{
 			hedgeDelay:       *hedgeDelay,
 			breakerThreshold: *breakerThreshold,
 			maxStaleness:     *maxStaleness,
@@ -119,8 +110,8 @@ func main() {
 		clients[i] = client{responder: authenticache.NewResponder(id, authenticache.NewSimDevice(m), key)}
 	}
 
-	fmt.Printf("%s on %s; proto=%s depth=%d; %d workers x %d transactions\n",
-		topology, ingress, *protoName, *depth, workers, perWorker)
+	fmt.Printf("%s on %s; depth=%d; %d workers x %d transactions\n",
+		topology, ingress, *depth, workers, perWorker)
 
 	var rejected, failed atomic.Int64
 	latencies := make([][]time.Duration, workers)
@@ -131,7 +122,7 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wc, err := authenticache.DialProto(ctx, ingress, proto)
+			wc, err := authenticache.Dial(ctx, ingress)
 			if err != nil {
 				failed.Add(int64(perWorker))
 				return
@@ -214,7 +205,7 @@ type resilience struct {
 	maxStaleness     int64
 }
 
-func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig, proto authenticache.Proto, resil resilience) (*loadCluster, error) {
+func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig, resil resilience) (*loadCluster, error) {
 	dir, err := os.MkdirTemp("", "loadtest-cluster")
 	if err != nil {
 		return nil, err
@@ -256,7 +247,7 @@ func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig, pr
 			return nil, err
 		}
 		c.nodes = append(c.nodes, node)
-		ws, err := node.NewWireServer(authenticache.WireConfig{Proto: proto})
+		ws, err := node.NewWireServer(authenticache.WireConfig{})
 		if err != nil {
 			c.close()
 			return nil, err
@@ -282,7 +273,7 @@ func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig, pr
 		c.close()
 		return nil, err
 	}
-	rs, err := authenticache.NewWireServerBackend(c.router, authenticache.WireConfig{Proto: proto})
+	rs, err := authenticache.NewWireServerBackend(c.router, authenticache.WireConfig{})
 	if err != nil {
 		c.close()
 		return nil, err

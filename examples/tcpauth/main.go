@@ -1,7 +1,7 @@
 // TCPAuth: run the authentication server and a client in one process,
-// talking over a real localhost TCP socket with the newline-delimited
-// JSON wire protocol — the deployment shape of cmd/authd + cmd/authcli
-// condensed into a self-contained demo.
+// talking over a real localhost TCP socket with the binary wire
+// protocol — the deployment shape of cmd/authd + cmd/authcli condensed
+// into a self-contained demo.
 //
 //	go run ./examples/tcpauth
 package main

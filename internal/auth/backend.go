@@ -6,15 +6,13 @@ import (
 	"repro/internal/crp"
 )
 
-// TxBackend is the operation-level seam between the wire transports
-// (v1 JSON and v2 binary) and whatever executes transactions. The
-// single-node server plugs in directly via localBackend; a cluster
-// router implements the same four operations by consistent-hashing
-// the client id and forwarding to the owning node. The seam sits at
-// the operation level — challenge out, response in — so both framings
-// share one forwarding implementation and a forwarder never needs the
-// session key: the verdict carries the derived confirmation tag
-// instead.
+// TxBackend is the operation-level seam between the wire transport
+// and whatever executes transactions. The single-node server plugs in
+// directly via localBackend; a cluster router implements the same
+// four operations by consistent-hashing the client id and forwarding
+// to the owning node. The seam sits at the operation level —
+// challenge out, response in — so a forwarder never needs the session
+// key: the verdict carries the derived confirmation tag instead.
 type TxBackend interface {
 	// BeginAuth issues a challenge for one authentication transaction.
 	BeginAuth(ctx context.Context, id ClientID) (*crp.Challenge, error)
@@ -63,7 +61,7 @@ func (lb localBackend) FinishAuth(ctx context.Context, id ClientID, challengeID 
 	v := AuthVerdict{Accepted: ok}
 	if ok {
 		v.HasConfirm = true
-		v.Confirm = confirmTagRaw(sessionKey)
+		v.Confirm = confirmTag(sessionKey)
 		v.RemapAdvised = lb.auth.NeedsRemap(id)
 	}
 	return v, nil

@@ -15,8 +15,11 @@ type pendingChallenge struct {
 	expected crp.Response
 }
 
-// remapState tracks an in-flight key update.
+// remapState tracks an in-flight key update: the request handed to
+// the client, reissued until the update commits or fails, and the key
+// it derives.
 type remapState struct {
+	req    *RemapRequest
 	newKey mapkey.Key
 }
 
@@ -25,9 +28,9 @@ type remapState struct {
 // what lets the server scale across a fleet (per-client state never
 // crosses records).
 type clientRecord struct {
-	// mu guards every field below. Store implementations hand out
-	// *clientRecord pointers; callers lock the record for the duration
-	// of the per-client operation.
+	// mu guards every field below. The store hands out *clientRecord
+	// pointers; callers lock the record for the duration of the
+	// per-client operation.
 	mu sync.Mutex
 
 	physMap  *errormap.Map
@@ -83,43 +86,18 @@ func (rec *clientRecord) rotateKeyLocked(key mapkey.Key) {
 	rec.crpsSinceRemap = 0
 }
 
-// ClientStore owns the lifecycle of clientRecords: lookup, creation,
-// deletion, and whole-database snapshot/replace for persistence. A
-// store only synchronises the id→record map itself; the records it
-// hands out carry their own locks, so per-client work on different
-// clients proceeds in parallel regardless of the store's internal
-// sharding.
-//
-// Implementations must be safe for concurrent use.
-type ClientStore interface {
-	// Get returns the record for id, or false if the id is unknown.
-	Get(id ClientID) (*clientRecord, bool)
-	// Create installs rec under id if absent and reports whether it
-	// was installed (false: the id already exists, rec is discarded).
-	Create(id ClientID, rec *clientRecord) bool
-	// Delete removes id and reports whether it existed.
-	Delete(id ClientID) bool
-	// Len counts enrolled clients.
-	Len() int
-	// IDs lists enrolled clients in sorted order.
-	IDs() []ClientID
-	// Range calls fn for every record until fn returns false. The
-	// iteration order is unspecified; fn must not call back into the
-	// store.
-	Range(fn func(id ClientID, rec *clientRecord) bool)
-	// ReplaceAll atomically swaps the entire database (LoadState).
-	ReplaceAll(clients map[ClientID]*clientRecord)
-}
-
 // defaultStoreShards is the shard count used when Config.StoreShards
 // is zero: enough to make shard-lock collisions rare at realistic
 // core counts, small enough to be free for tiny fleets.
 const defaultStoreShards = 32
 
-// shardedStore is the in-memory ClientStore: N shards keyed by FNV-1a
-// of the ClientID, each shard a map under its own RWMutex. Challenge
-// issue and verify for different clients take only a read lock on one
-// shard plus the per-record lock, so they proceed in parallel.
+// shardedStore owns the lifecycle of clientRecords: lookup, creation,
+// deletion, and whole-database snapshot/replace for persistence. It
+// only synchronises the id→record map itself; the records it hands
+// out carry their own locks. It keeps N shards keyed by FNV-1a of the
+// ClientID, each shard a map under its own RWMutex, so challenge issue
+// and verify for different clients take only a read lock on one shard
+// plus the per-record lock and proceed in parallel.
 type shardedStore struct {
 	shards []storeShard
 }
@@ -160,6 +138,7 @@ func (s *shardedStore) shardFor(id ClientID) *storeShard {
 	return &s.shards[s.shardIndexFor(id)]
 }
 
+// Get returns the record for id, or false if the id is unknown.
 func (s *shardedStore) Get(id ClientID) (*clientRecord, bool) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
@@ -168,6 +147,8 @@ func (s *shardedStore) Get(id ClientID) (*clientRecord, bool) {
 	return rec, ok
 }
 
+// Create installs rec under id if absent and reports whether it was
+// installed (false: the id already exists, rec is discarded).
 func (s *shardedStore) Create(id ClientID, rec *clientRecord) bool {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -179,6 +160,7 @@ func (s *shardedStore) Create(id ClientID, rec *clientRecord) bool {
 	return true
 }
 
+// Delete removes id and reports whether it existed.
 func (s *shardedStore) Delete(id ClientID) bool {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -190,6 +172,7 @@ func (s *shardedStore) Delete(id ClientID) bool {
 	return true
 }
 
+// Len counts enrolled clients.
 func (s *shardedStore) Len() int {
 	n := 0
 	for i := range s.shards {
@@ -201,6 +184,7 @@ func (s *shardedStore) Len() int {
 	return n
 }
 
+// IDs lists enrolled clients in sorted order.
 func (s *shardedStore) IDs() []ClientID {
 	var out []ClientID
 	for i := range s.shards {
@@ -215,6 +199,9 @@ func (s *shardedStore) IDs() []ClientID {
 	return out
 }
 
+// Range calls fn for every record until fn returns false. The
+// iteration order is unspecified; fn must not call back into the
+// store.
 func (s *shardedStore) Range(fn func(id ClientID, rec *clientRecord) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -234,6 +221,7 @@ func (s *shardedStore) Range(fn func(id ClientID, rec *clientRecord) bool) {
 	}
 }
 
+// ReplaceAll swaps the entire database (LoadState).
 func (s *shardedStore) ReplaceAll(clients map[ClientID]*clientRecord) {
 	buckets := make([]map[ClientID]*clientRecord, len(s.shards))
 	for i := range buckets {
@@ -249,5 +237,3 @@ func (s *shardedStore) ReplaceAll(clients map[ClientID]*clientRecord) {
 		sh.mu.Unlock()
 	}
 }
-
-var _ ClientStore = (*shardedStore)(nil)

@@ -20,10 +20,9 @@ func storeRecord(t *testing.T, seed uint64) *clientRecord {
 	return newClientRecord(m, mapkey.KeyFromBytes([]byte{byte(seed)}, "t"), nil)
 }
 
-// testClientStoreContract exercises the full ClientStore interface
-// against an implementation; any future store (on-disk, remote) must
-// pass it unchanged.
-func testClientStoreContract(t *testing.T, mk func() ClientStore) {
+// testClientStoreContract exercises the store's full contract against
+// stores of different shard counts.
+func testClientStoreContract(t *testing.T, mk func() *shardedStore) {
 	t.Run("get-missing", func(t *testing.T) {
 		s := mk()
 		if _, ok := s.Get("nope"); ok {
@@ -160,7 +159,7 @@ func TestShardedStoreContract(t *testing.T) {
 	for _, shards := range []int{1, 3, 32} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			testClientStoreContract(t, func() ClientStore { return newShardedStore(shards) })
+			testClientStoreContract(t, func() *shardedStore { return newShardedStore(shards) })
 		})
 	}
 }

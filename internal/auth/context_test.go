@@ -1,14 +1,15 @@
 package auth
 
 import (
-	"bufio"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/crp"
+	"repro/internal/wire"
 )
 
 // Every mutating Server method must fail fast with a typed
@@ -91,15 +92,14 @@ func TestWireClientCancelsMidTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	// A black-hole server: reads the request, never replies.
+	// A black-hole server: reads the preamble, never replies.
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		r := bufio.NewReader(conn)
-		_, _ = r.ReadString('\n')
+		_, _ = io.ReadFull(conn, make([]byte, wire.PreambleLen))
 		select {} // stall forever; test exit tears the goroutine down
 	}()
 

@@ -1,16 +1,16 @@
 package auth
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 
 	"repro/internal/crp"
+	"repro/internal/wire"
 )
 
 // Every code↔sentinel pairing the protocol defines.
@@ -68,8 +68,9 @@ func TestCodeOf(t *testing.T) {
 	}
 }
 
-// Every error code must survive the encode→JSON→decode→reconstruct
-// path with the same code, client, and errors.Is behaviour.
+// Every error code must survive the server's error-frame encoding,
+// the frame decoder and the client's reconstruction with the same
+// code, client, and errors.Is behaviour.
 func TestErrorCodesSurviveWireRoundTrip(t *testing.T) {
 	for _, tc := range codeTable {
 		t.Run(string(tc.code), func(t *testing.T) {
@@ -79,25 +80,29 @@ func TestErrorCodesSurviveWireRoundTrip(t *testing.T) {
 			}
 			orig := authErrf(tc.code, "dev-7", "%w: extra", cause)
 
-			// Server side: sendErr onto a buffer.
-			var buf bytes.Buffer
-			sendErr(json.NewEncoder(&buf), orig)
+			// Server side: the error frame it would send on stream 3.
+			frame := appendErrorFrame(nil, 3, orig)
 
-			// Client side: decode and reconstruct.
-			var msg wireMsg
-			if err := json.NewDecoder(&buf).Decode(&msg); err != nil {
+			// Client side: read the frame, decode and reconstruct.
+			b := wire.GetBuf()
+			defer wire.PutBuf(b)
+			if err := wire.ReadFrameInto(bufio.NewReader(bytes.NewReader(frame)), b, 1<<20); err != nil {
 				t.Fatal(err)
 			}
-			if msg.Type != "error" {
-				t.Fatalf("type = %q", msg.Type)
+			if b.Op != wire.OpError || b.Stream != 3 {
+				t.Fatalf("frame = stream %d op %q, want an error on stream 3", b.Stream, b.Op)
 			}
-			if msg.ErrorCode != string(tc.code) {
-				t.Fatalf("error_code = %q, want %q", msg.ErrorCode, tc.code)
+			code, client, msg, err := wire.DecodeError(b.B)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if msg.ErrorClient != "dev-7" {
-				t.Fatalf("error_client = %q", msg.ErrorClient)
+			if code != string(tc.code) {
+				t.Fatalf("error code = %q, want %q", code, tc.code)
 			}
-			rebuilt := errorFromWire(ErrorCode(msg.ErrorCode), ClientID(msg.ErrorClient), msg.Error)
+			if client != "dev-7" {
+				t.Fatalf("error client = %q", client)
+			}
+			rebuilt := errorFromWire(ErrorCode(code), ClientID(client), msg)
 
 			var ae *AuthError
 			if !errors.As(rebuilt, &ae) {
@@ -153,33 +158,36 @@ func TestWireClientGetsTypedErrors(t *testing.T) {
 	})
 
 	t.Run("unknown-challenge", func(t *testing.T) {
-		// Speak raw protocol: answer a never-issued challenge id.
-		conn, err := net.Dial("tcp", addr)
+		// Speak raw frames: answer a never-issued challenge id.
+		conn, br := dialRaw(t, addr)
+		defer conn.Close()
+		if _, err := conn.Write(wire.AppendClientID(nil, 1, wire.OpAuthenticate, "tcp-dev")); err != nil {
+			t.Fatal(err)
+		}
+		chFrame := readFrame(t, br)
+		var ch crp.Challenge
+		err := wire.DecodeChallenge(chFrame.B, &ch)
+		wire.PutBuf(chFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		enc := json.NewEncoder(conn)
-		dec := json.NewDecoder(conn)
-		if err := enc.Encode(wireMsg{Type: "authenticate", ClientID: "tcp-dev"}); err != nil {
+		resp := crp.NewResponse(len(ch.Bits))
+		if _, err := conn.Write(wire.AppendResponse(nil, 1, ch.ID+999, &resp)); err != nil {
 			t.Fatal(err)
 		}
-		var chMsg wireMsg
-		if err := dec.Decode(&chMsg); err != nil {
+		errFrame := readFrame(t, br)
+		defer wire.PutBuf(errFrame)
+		if errFrame.Op != wire.OpError {
+			t.Fatalf("got %q, want an unknown_challenge error", errFrame.Op)
+		}
+		code, client, msg, err := wire.DecodeError(errFrame.B)
+		if err != nil {
 			t.Fatal(err)
 		}
-		resp := crp.NewResponse(len(chMsg.Challenge.Bits))
-		if err := enc.Encode(wireMsg{Type: "response", ChallengeID: chMsg.Challenge.ID + 999, Response: &resp}); err != nil {
-			t.Fatal(err)
+		if code != string(CodeUnknownChallenge) {
+			t.Fatalf("error code = %q, want %q", code, CodeUnknownChallenge)
 		}
-		var errMsg wireMsg
-		if err := dec.Decode(&errMsg); err != nil {
-			t.Fatal(err)
-		}
-		if errMsg.Type != "error" || errMsg.ErrorCode != string(CodeUnknownChallenge) {
-			t.Fatalf("got %+v, want unknown_challenge error", errMsg)
-		}
-		rebuilt := errorFromWire(ErrorCode(errMsg.ErrorCode), ClientID(errMsg.ErrorClient), errMsg.Error)
+		rebuilt := errorFromWire(ErrorCode(code), ClientID(client), msg)
 		if !errors.Is(rebuilt, ErrUnknownChallenge) {
 			t.Fatalf("errors.Is(ErrUnknownChallenge) = false for %v", rebuilt)
 		}

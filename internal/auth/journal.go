@@ -17,7 +17,7 @@ import (
 // server forgets can be reissued, and the challenge an attacker
 // recorded before the crash replays cleanly (the paper's Section 6.7
 // model-building attack compounds the leak). The journal is therefore
-// written at exactly the points the ClientStore's records mutate,
+// written at exactly the points the store's records mutate,
 // inside the same per-record critical section, so the log's
 // per-client order matches the in-memory mutation order.
 //

@@ -23,6 +23,14 @@ type RemapRequest struct {
 // secret, and returns helper data that lets the client reproduce the
 // secret despite response noise. The new key is held pending until
 // CompleteRemap.
+//
+// While an update is pending, BeginRemap reissues the pending request
+// (same challenge, helper data and key) instead of drawing a new one.
+// A key-update begin can outlive its connection — the server runs it
+// while the client has already given up and retried — and a stale
+// begin that replaced the pending key between a retry's begin and
+// commit would commit a key the device never derived. A reissue draws
+// no challenge id, so nothing new is journaled.
 func (s *Server) BeginRemap(ctx context.Context, id ClientID) (*RemapRequest, error) {
 	if err := ctxErr(ctx, id); err != nil {
 		return nil, err
@@ -33,6 +41,9 @@ func (s *Server) BeginRemap(ctx context.Context, id ClientID) (*RemapRequest, er
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
+	if rec.remap != nil {
+		return rec.remap.req, nil
+	}
 	var reserved []int
 	for _, v := range rec.physMap.Voltages() {
 		if rec.reserved[v] {
@@ -81,13 +92,15 @@ func (s *Server) BeginRemap(ctx context.Context, id ClientID) (*RemapRequest, er
 		return nil, authErr(CodeInternal, id, err)
 	}
 	strengthened := ecc.StrengthenKey(secret, "remap")
-	rec.remap = &remapState{newKey: mapkey.KeyFromBytes(strengthened[:], "remap/"+string(id))}
-	return &RemapRequest{Challenge: ch, Helper: helper}, nil
+	req := &RemapRequest{Challenge: ch, Helper: helper}
+	rec.remap = &remapState{req: req, newKey: mapkey.KeyFromBytes(strengthened[:], "remap/"+string(id))}
+	return req, nil
 }
 
 // CompleteRemap commits the pending key rotation after the client
 // acknowledges success (the client never discloses the response
-// itself). Logical-plane caches are invalidated.
+// itself), or drops it on failure; either way the next BeginRemap
+// draws a fresh request. Logical-plane caches are invalidated.
 func (s *Server) CompleteRemap(ctx context.Context, id ClientID, success bool) error {
 	if err := ctxErr(ctx, id); err != nil {
 		return err

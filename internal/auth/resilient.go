@@ -110,12 +110,8 @@ type RetryStats struct {
 // unknown client, rejection) is returned immediately and never
 // retried.
 //
-// The client itself is safe for concurrent use. What concurrency
-// buys depends on the dial function: over a v2 dialer
-// (DialResilientProto with ProtoV2) concurrent transactions pipeline
-// on one shared connection, each on its own stream; over a v1 dialer
-// the underlying WireClient is lock-step, so give each goroutine its
-// own client as before.
+// The client is safe for concurrent use: concurrent transactions
+// pipeline on one shared connection, each on its own stream.
 type ResilientClient struct {
 	addr   string
 	policy RetryPolicy
@@ -131,21 +127,12 @@ type ResilientClient struct {
 	stats RetryStats
 }
 
-// DialResilient connects to a WireServer with retry behaviour,
-// speaking v1. The initial dial itself is retried under the same
-// policy, so a server that is briefly unreachable does not fail the
-// constructor.
+// DialResilient connects to a WireServer with retry behaviour. A
+// retryable failure of the initial dial does not fail the
+// constructor, so a server that is briefly unreachable is retried by
+// the first transaction under the same policy.
 func DialResilient(ctx context.Context, addr string, policy RetryPolicy) (*ResilientClient, error) {
-	return DialResilientProto(ctx, addr, policy, ProtoV1)
-}
-
-// DialResilientProto connects with retry behaviour and an explicit
-// framing. With ProtoV2, concurrent transactions on the returned
-// client pipeline over one connection.
-func DialResilientProto(ctx context.Context, addr string, policy RetryPolicy, proto Proto) (*ResilientClient, error) {
-	rc := NewResilientClient(addr, policy, func(ctx context.Context, addr string) (*WireClient, error) {
-		return DialProto(ctx, addr, proto)
-	})
+	rc := NewResilientClient(addr, policy, Dial)
 	if _, _, err := rc.conn(ctx); err != nil && !Retryable(err) {
 		return nil, err
 	}

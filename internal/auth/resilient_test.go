@@ -1,18 +1,19 @@
 package auth
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/crp"
 	"repro/internal/fault"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 func TestRetryableClassification(t *testing.T) {
@@ -119,93 +120,46 @@ func fastPolicy() RetryPolicy {
 	return RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 11}
 }
 
-func TestResilientAuthenticateSurvivesDrops(t *testing.T) {
-	srv, resp := wireFixture(t, 680, 700)
-	addr, stop := startWireFaulty(t, NewWireServer(srv), fault.ConnPlan{DropProb: 0.1, Seed: 1234})
-	defer stop()
-
-	rc := NewResilientClient(addr, fastPolicy(), Dial)
-	defer rc.Close()
-	for i := 0; i < 30; i++ {
-		ok, err := rc.Authenticate(ctx, resp)
-		if err != nil {
-			t.Fatalf("round %d: %v (stats %+v)", i, err, rc.Stats())
-		}
-		if !ok {
-			t.Fatalf("round %d: genuine client rejected", i)
-		}
-	}
-	if rc.Stats().Retries == 0 {
-		t.Fatal("30 rounds at 10% drop rate injected no retries; the harness is not exercising faults")
-	}
-}
-
-func TestResilientRemapSurvivesDrops(t *testing.T) {
-	srv, resp := wireFixture(t, 680, 700)
-	addr, stop := startWireFaulty(t, NewWireServer(srv), fault.ConnPlan{DropProb: 0.15, Seed: 99})
-	defer stop()
-
-	rc := NewResilientClient(addr, fastPolicy(), Dial)
-	defer rc.Close()
-	for i := 0; i < 10; i++ {
-		oldKey := resp.Key()
-		if err := rc.Remap(ctx, resp); err != nil {
-			t.Fatalf("remap %d: %v (stats %+v)", i, err, rc.Stats())
-		}
-		if resp.Key() == oldKey {
-			t.Fatalf("remap %d: key not rotated", i)
-		}
-		ok, err := rc.Authenticate(ctx, resp)
-		if err != nil || !ok {
-			t.Fatalf("post-remap auth %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-}
-
-// verdictEater lets one full transaction's requests through, then
-// kills the connection just before the verdict arrives — after the
-// client has revealed its challenge response.
-type verdictEater struct {
-	net.Conn
-	writes int
-	armed  bool
-}
-
-func (c *verdictEater) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.writes++
-	if c.writes == 2 { // authenticate, then response: burn complete
-		c.armed = true
-	}
-	return n, err
-}
-
-func (c *verdictEater) Read(p []byte) (int, error) {
-	if c.armed {
-		c.Conn.Close()
-		return 0, fault.ErrInjectedDrop
-	}
-	return c.Conn.Read(p)
-}
-
-// responseRecorder captures every response message a client sends, so
-// the test can prove no challenge is ever answered twice.
+// responseRecorder records the challenge id of every response frame
+// a client writes, parsing frames across Write calls once the preamble
+// has passed. With cut set it closes the connection as soon as a
+// response has left — after the client revealed its response, before
+// the verdict can arrive.
 type responseRecorder struct {
 	net.Conn
-	ids *[]uint64
+	mu      *sync.Mutex
+	ids     *[]uint64
+	cut     bool
+	skip    int    // preamble bytes still to pass over
+	pending []byte // written bytes not yet parsed into whole frames
 }
 
 func (c *responseRecorder) Write(p []byte) (int, error) {
-	for _, line := range bytes.Split(p, []byte("\n")) {
-		if len(line) == 0 {
-			continue
+	n, err := c.Conn.Write(p)
+	c.pending = append(c.pending, p[:n]...)
+	k := min(c.skip, len(c.pending))
+	c.pending, c.skip = c.pending[k:], c.skip-k
+	responded := false
+	for len(c.pending) >= wire.HeaderLen {
+		h, herr := wire.ParseHeader(c.pending)
+		if herr != nil || len(c.pending) < wire.HeaderLen+h.Len {
+			break
 		}
-		var msg wireMsg
-		if json.Unmarshal(line, &msg) == nil && msg.Type == "response" {
-			*c.ids = append(*c.ids, msg.ChallengeID)
+		if h.Op == wire.OpResponse {
+			var resp crp.Response
+			if id, derr := wire.DecodeResponse(c.pending[wire.HeaderLen:wire.HeaderLen+h.Len], &resp); derr == nil {
+				c.mu.Lock()
+				*c.ids = append(*c.ids, id)
+				c.mu.Unlock()
+				responded = true
+			}
 		}
+		c.pending = c.pending[wire.HeaderLen+h.Len:]
 	}
-	return c.Conn.Write(p)
+	if responded && c.cut {
+		c.Conn.Close()
+	}
+	return n, err
 }
 
 // TestResilientRetryIsFreshTransaction is the burned-challenge
@@ -217,6 +171,7 @@ func TestResilientRetryIsFreshTransaction(t *testing.T) {
 	addr, stop := startWire(t, srv)
 	defer stop()
 
+	var mu sync.Mutex
 	var answered []uint64
 	dials := 0
 	dial := func(ctx context.Context, addr string) (*WireClient, error) {
@@ -226,11 +181,7 @@ func TestResilientRetryIsFreshTransaction(t *testing.T) {
 			return nil, err
 		}
 		dials++
-		rec := &responseRecorder{Conn: conn, ids: &answered}
-		if dials == 1 {
-			return NewWireClient(&verdictEater{Conn: rec}), nil
-		}
-		return NewWireClient(rec), nil
+		return NewWireClient(&responseRecorder{Conn: conn, mu: &mu, ids: &answered, cut: dials == 1, skip: wire.PreambleLen})
 	}
 
 	rc := NewResilientClient(addr, fastPolicy(), dial)
@@ -242,11 +193,14 @@ func TestResilientRetryIsFreshTransaction(t *testing.T) {
 	if !ok {
 		t.Fatal("genuine client rejected")
 	}
-	if len(answered) != 2 {
-		t.Fatalf("client answered %d challenges, want 2 (burned + fresh): %v", len(answered), answered)
+	mu.Lock()
+	got := append([]uint64(nil), answered...)
+	mu.Unlock()
+	if len(got) != 2 {
+		t.Fatalf("client answered %d challenges, want 2 (burned + fresh): %v", len(got), got)
 	}
-	if answered[0] == answered[1] {
-		t.Fatalf("retry replayed burned challenge %d; every attempt must answer a fresh challenge", answered[0])
+	if got[0] == got[1] {
+		t.Fatalf("retry replayed burned challenge %d; every attempt must answer a fresh challenge", got[0])
 	}
 	if got := rc.Stats().Retries; got != 1 {
 		t.Fatalf("stats.Retries = %d, want 1", got)
@@ -330,8 +284,150 @@ func TestWireServerShedsAtMaxConns(t *testing.T) {
 	if CodeOf(err) != CodeUnavailable {
 		t.Fatalf("over-cap connection answered %v, want CodeUnavailable", err)
 	}
+	if !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("connection-cap error %v does not satisfy errors.Is(ErrUnavailable)", err)
+	}
 	if !Retryable(err) {
 		t.Fatal("connection-cap error must be retryable")
+	}
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("connection-cap error %v must carry io.EOF: the refused connection is gone", err)
+	}
+
+	// A resilient client rides the refusal out: its first attempt is
+	// refused, the first connection closes and the server releases its
+	// slot before the client redials, and the retry gets in.
+	dials := 0
+	rc := NewResilientClient(addr, fastPolicy(), func(ctx context.Context, addr string) (*WireClient, error) {
+		dials++
+		if dials == 2 {
+			first.Close()
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				ws.mu.Lock()
+				open := len(ws.conns)
+				ws.mu.Unlock()
+				if open == 0 {
+					break
+				}
+			}
+		}
+		return Dial(ctx, addr)
+	})
+	defer rc.Close()
+	ok, err := rc.Authenticate(ctx, resp)
+	if err != nil || !ok {
+		t.Fatalf("resilient client at the connection cap: ok=%v err=%v (stats %+v)", ok, err, rc.Stats())
+	}
+	if rc.Stats().Unavailable == 0 {
+		t.Fatal("resilient client was never refused at the connection cap")
+	}
+}
+
+// staleBeginBackend forces the interleaving in which a key-update
+// begin outlives its connection: the first BeginRemapTx (whose client
+// has already hung up) is held until the retry's begin has returned,
+// and every FinishRemapTx is held until that stale begin has run.
+type staleBeginBackend struct {
+	TxBackend
+	mu           sync.Mutex
+	begins       int
+	firstEntered chan struct{} // closed when the first begin arrives
+	retryBegun   chan struct{} // closed when the second begin has returned
+	staleDone    chan struct{} // closed when the first begin has returned
+}
+
+func (b *staleBeginBackend) BeginRemapTx(ctx context.Context, id ClientID) (*RemapRequest, error) {
+	b.mu.Lock()
+	b.begins++
+	n := b.begins
+	b.mu.Unlock()
+	switch n {
+	case 1:
+		close(b.firstEntered)
+		<-b.retryBegun
+		defer close(b.staleDone)
+	case 2:
+		defer close(b.retryBegun)
+	}
+	return b.TxBackend.BeginRemapTx(ctx, id)
+}
+
+func (b *staleBeginBackend) FinishRemapTx(ctx context.Context, id ClientID, success bool) error {
+	<-b.staleDone
+	return b.TxBackend.FinishRemapTx(ctx, id, success)
+}
+
+// hangupConn closes the connection as soon as a write carries bytes
+// past the preamble, i.e. right after the first frame leaves.
+type hangupConn struct {
+	net.Conn
+	written int
+}
+
+func (c *hangupConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written += n
+	if c.written > wire.PreambleLen {
+		c.Conn.Close()
+	}
+	return n, err
+}
+
+// TestResilientRemapSurvivesStaleBegin pins the key-update race a
+// retry opens: the server still runs the begin of a connection the
+// client has given up on, and that stale begin lands between the
+// retry's begin and its commit. A Remap that returns nil must leave
+// the server holding the key the device derived.
+func TestResilientRemapSurvivesStaleBegin(t *testing.T) {
+	srv, resp := wireFixture(t, 680, 700)
+	be := &staleBeginBackend{
+		TxBackend:    LocalBackend(srv),
+		firstEntered: make(chan struct{}),
+		retryBegun:   make(chan struct{}),
+		staleDone:    make(chan struct{}),
+	}
+	ws, err := NewWireServerBackend(be, WireConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop := startWireFaulty(t, ws, fault.ConnPlan{})
+	defer stop()
+
+	dials := 0
+	rc := NewResilientClient(addr, fastPolicy(), func(ctx context.Context, addr string) (*WireClient, error) {
+		dials++
+		if dials > 1 {
+			// Retry only once the dead connection's begin is running.
+			select {
+			case <-be.firstEntered:
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("the first key-update begin never reached the backend")
+			}
+		}
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		if dials == 1 {
+			return NewWireClient(&hangupConn{Conn: conn})
+		}
+		return NewWireClient(conn)
+	})
+	defer rc.Close()
+	if err := rc.Remap(ctx, resp); err != nil {
+		t.Fatalf("remap: %v (stats %+v)", err, rc.Stats())
+	}
+	srvKey, err := srv.CurrentKey(resp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srvKey != resp.Key() {
+		t.Fatal("Remap succeeded but the server committed a key the device never derived")
+	}
+	ok, err := rc.Authenticate(ctx, resp)
+	if err != nil || !ok {
+		t.Fatalf("post-remap auth: ok=%v err=%v", ok, err)
 	}
 }
 

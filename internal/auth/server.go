@@ -1,7 +1,7 @@
 // Package auth implements the Authenticache authentication protocol
 // (paper Sections 2.1, 4.3–4.5): the enrollment database and
 // challenge-issuing server, the client-side responder, and transports
-// (in-memory and TCP/JSON).
+// (in-memory and TCP).
 //
 // The server never stores challenge-response pairs. It stores each
 // client's *physical error map* — a few kilobytes — and generates
@@ -16,7 +16,7 @@
 // The package is split into focused modules:
 //
 //   - server.go      — Server core: config, construction, shared helpers
-//   - clientstore.go — ClientStore interface and the sharded in-memory store
+//   - clientstore.go — client records and the sharded in-memory store
 //   - enroll.go      — enrollment and client lookup
 //   - challenge.go   — challenge generation (single-, fixed-, and multi-Vdd)
 //   - verify.go      — response verification and thresholding
@@ -25,13 +25,13 @@
 //   - session.go     — session-key derivation on top of verification
 //   - errors.go      — the typed *AuthError taxonomy and wire codes
 //   - store.go       — enrollment-database persistence
-//   - wire.go        — TCP/JSON transport (server and client)
+//   - wire.go        — TCP transport (server and client)
 //
 // # Concurrency
 //
 // Clients are embarrassingly independent: per-client state never
 // crosses records. The Server therefore keeps no global mutable lock;
-// records live in a sharded ClientStore and carry their own locks, so
+// records live in a sharded store and carry their own locks, so
 // challenge issue/verify for different clients proceed in parallel.
 // Every public mutating method takes a context.Context and fails fast
 // with a CodeCanceled *AuthError once the context is done.
@@ -99,7 +99,7 @@ func DefaultConfig() Config {
 // are safe for concurrent use.
 type Server struct {
 	cfg   Config
-	store ClientStore
+	store *shardedStore
 
 	// journal, when non-nil, is written inside the same per-record
 	// critical section as each mutation (see journal.go).

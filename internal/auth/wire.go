@@ -5,27 +5,23 @@ import (
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 
-	"repro/internal/crp"
 	"repro/internal/wire"
 )
 
 // Wire hardening defaults. A malicious peer must not be able to pin
-// server memory or goroutines: messages are size-capped, connections
+// server memory or goroutines: frames are size-capped, connections
 // are transaction-capped, and a peer that goes silent mid-transaction
 // is cut off by the idle deadline. Operators tune these through
 // WireConfig; the zero config keeps these values.
 const (
-	// defaultMaxWireMessageBytes bounds one JSON message. The largest
-	// legitimate message is a remap challenge (~640 pair bits plus
+	// defaultMaxWireMessageBytes bounds one frame payload. The largest
+	// legitimate payload is a remap challenge (~640 pair bits plus
 	// helper data), far under this cap.
 	defaultMaxWireMessageBytes = 1 << 20
 	// defaultMaxTransactionsPerConn bounds how many transactions a
@@ -33,60 +29,20 @@ const (
 	defaultMaxTransactionsPerConn = 1024
 	// defaultWireIdleTimeout cuts off peers that stall mid-transaction.
 	defaultWireIdleTimeout = 30 * time.Second
-	// defaultMaxStreamsPerConn bounds concurrently open v2 streams on
-	// one connection (the per-connection pipelining depth the server
-	// will serve). v1 connections are lock-step and unaffected.
+	// defaultMaxStreamsPerConn bounds concurrently open streams on one
+	// connection (the per-connection pipelining depth the server will
+	// serve).
 	defaultMaxStreamsPerConn = 64
+	// refuseTimeout bounds the whole exchange with a connection turned
+	// away at the connection cap.
+	refuseTimeout = time.Second
 )
-
-// Proto selects the connection framing.
-type Proto int
-
-const (
-	// ProtoAuto negotiates per connection: a v2 preamble selects the
-	// binary framing, any other first byte falls back to
-	// newline-delimited JSON (v1). This is the zero value, so existing
-	// servers keep accepting v1 clients unchanged.
-	ProtoAuto Proto = iota
-	// ProtoV1 forces the newline-delimited JSON framing.
-	ProtoV1
-	// ProtoV2 requires the binary framing; a peer that does not open
-	// with the v2 preamble receives one typed v1 error message and is
-	// disconnected.
-	ProtoV2
-)
-
-// String names the protocol selection.
-func (p Proto) String() string {
-	switch p {
-	case ProtoAuto:
-		return "auto"
-	case ProtoV1:
-		return "v1"
-	case ProtoV2:
-		return "v2"
-	}
-	return fmt.Sprintf("auth.Proto(%d)", int(p))
-}
-
-// ParseProto maps the flag spellings "auto", "v1", "v2" to a Proto.
-func ParseProto(s string) (Proto, error) {
-	switch s {
-	case "auto", "":
-		return ProtoAuto, nil
-	case "v1":
-		return ProtoV1, nil
-	case "v2":
-		return ProtoV2, nil
-	}
-	return ProtoAuto, authErrf(CodeInvalidRequest, "", "auth: unknown wire protocol %q (want auto, v1, or v2)", s)
-}
 
 // WireConfig tunes a WireServer's hardening limits and overload
 // behaviour. The zero value means "current defaults, no load
 // shedding", so existing callers and tests keep today's semantics.
 type WireConfig struct {
-	// MaxMessageBytes caps one JSON wire message. 0 means 1 MiB.
+	// MaxMessageBytes caps one frame payload. 0 means 1 MiB.
 	MaxMessageBytes int
 	// MaxTransactionsPerConn caps transactions per connection before
 	// the server hangs up. 0 means 1024.
@@ -101,16 +57,13 @@ type WireConfig struct {
 	// disables shedding.
 	MaxInFlight int
 	// MaxConns caps concurrently accepted connections. A connection
-	// over the cap receives one unavailable error message and is
-	// closed (accept-queue pressure relief). 0 disables the cap.
+	// over the cap receives one unavailable error frame on stream 0
+	// and is closed (accept-queue pressure relief). 0 disables the
+	// cap.
 	MaxConns int
-	// Proto selects the accepted framing: negotiate (ProtoAuto, the
-	// zero value), JSON only (ProtoV1), or binary only (ProtoV2).
-	Proto Proto
-	// MaxStreamsPerConn caps concurrently open v2 streams per
-	// connection; a stream over the cap is shed with an unavailable
-	// error on that stream while the connection stays healthy. 0
-	// means 64.
+	// MaxStreamsPerConn caps concurrently open streams per connection;
+	// a stream over the cap is shed with an unavailable error on that
+	// stream while the connection stays healthy. 0 means 64.
 	MaxStreamsPerConn int
 }
 
@@ -138,56 +91,32 @@ func (c WireConfig) Validate() error {
 		c.MaxStreamsPerConn < 0 {
 		return authErrf(CodeInvalidRequest, "", "auth: wire config limits must be non-negative: %+v", c)
 	}
-	if c.Proto < ProtoAuto || c.Proto > ProtoV2 {
-		return authErrf(CodeInvalidRequest, "", "auth: unknown wire protocol selection %d", int(c.Proto))
-	}
 	return nil
 }
 
-// The wire protocol is newline-delimited JSON over TCP. A connection
-// carries any number of sequential transactions:
+// The TCP transport is the binary framing of internal/wire: a
+// connection opens with the 4-byte preamble and then carries frames,
+// each tagged with a stream id. A transaction owns one stream:
 //
-//	authenticate:  C→S {type:"authenticate", client_id}
-//	               S→C {type:"challenge", challenge} | {type:"error"}
-//	               C→S {type:"response", challenge_id, response}
-//	               S→C {type:"verdict", accepted}
-//	remap:         C→S {type:"remap", client_id}
-//	               S→C {type:"remap_challenge", request} | {type:"error"}
-//	               C→S {type:"remap_done", success}
-//	               S→C {type:"remap_ack"}
+//	authenticate:  C→S authenticate(client_id)
+//	               S→C challenge | error
+//	               C→S response(challenge_id, bits)
+//	               S→C verdict(accepted, remap_advised, confirm) | error
+//	remap:         C→S remap(client_id)
+//	               S→C remap_challenge(JSON request) | error
+//	               C→S remap_done(success)
+//	               S→C remap_ack | error
 //
-// Error messages carry the structured taxonomy alongside the text:
-// error_code is the stable ErrorCode and error_client the client the
-// failure concerned, so WireClient rebuilds the same typed *AuthError
-// an in-process caller would get (errors.Is against the package
-// sentinels holds on both sides of the wire).
+// Error frames carry the structured taxonomy alongside the text (the
+// stable ErrorCode and the client the failure concerned), so
+// WireClient rebuilds the same typed *AuthError an in-process caller
+// would get (errors.Is against the package sentinels holds on both
+// sides of the wire). docs/PROTOCOL.md is the normative description.
 //
 // The paper has the server initiate remaps; over a client-polled TCP
 // transport the client asks on the server's behalf, which changes no
 // security property (the server still controls the reserved-voltage
 // challenge and the helper data).
-
-type wireMsg struct {
-	Type        string         `json:"type"`
-	ClientID    string         `json:"client_id,omitempty"`
-	Challenge   *crp.Challenge `json:"challenge,omitempty"`
-	ChallengeID uint64         `json:"challenge_id,omitempty"`
-	Response    *crp.Response  `json:"response,omitempty"`
-	Accepted    bool           `json:"accepted,omitempty"`
-	Remap       *RemapRequest  `json:"remap,omitempty"`
-	Success     bool           `json:"success,omitempty"`
-	// Confirm carries HMAC(sessionKey, "confirm") on accepted
-	// verdicts, proving key agreement without exposing the key.
-	Confirm string `json:"confirm,omitempty"`
-	// RemapAdvised tells the client to run a key-update transaction
-	// soon (Section 6.7 mitigation policy).
-	RemapAdvised bool   `json:"remap_advised,omitempty"`
-	Error        string `json:"error,omitempty"`
-	// ErrorCode/ErrorClient carry the typed-error taxonomy with an
-	// error message; empty on messages from pre-taxonomy servers.
-	ErrorCode   string `json:"error_code,omitempty"`
-	ErrorClient string `json:"error_client,omitempty"`
-}
 
 // WireServer exposes a transaction backend — usually an in-process
 // Server, in a cluster possibly a forwarding router — over TCP.
@@ -226,8 +155,8 @@ func NewWireServerConfig(auth *Server, cfg WireConfig) (*WireServer, error) {
 
 // NewWireServerBackend wraps an arbitrary transaction backend (a
 // cluster router, a follower's delegating issuer) with the same wire
-// front end a plain Server gets: both framings, hardening limits, and
-// overload shedding all apply unchanged.
+// front end a plain Server gets: hardening limits and overload
+// shedding all apply unchanged.
 func NewWireServerBackend(backend TxBackend, cfg WireConfig) (*WireServer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -270,19 +199,18 @@ func (ws *WireServer) Serve(ctx context.Context, l net.Listener) error {
 			ws.conns[conn] = struct{}{}
 		}
 		ws.mu.Unlock()
+		ws.wg.Add(1)
 		if over {
-			// Accept-queue pressure: tell the peer to back off, then
-			// hang up. The write is deadline-bounded so a dead peer
-			// cannot stall the accept loop.
-			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			// Best-effort: the connection is closed on the next line
-			// whether or not the peer heard the answer.
-			_ = sendErr(json.NewEncoder(conn), authErrf(CodeUnavailable, "",
-				"%w: connection cap %d reached", ErrUnavailable, ws.cfg.MaxConns))
-			conn.Close()
+			// Accept-queue pressure: tell the peer to back off, off the
+			// accept loop and deadline-bounded so a dead peer cannot
+			// stall it.
+			go func() {
+				defer ws.wg.Done()
+				defer conn.Close()
+				ws.refuse(conn)
+			}()
 			continue
 		}
-		ws.wg.Add(1)
 		go func() {
 			defer ws.wg.Done()
 			defer func() {
@@ -294,6 +222,29 @@ func (ws *WireServer) Serve(ctx context.Context, l net.Listener) error {
 			ws.handle(ctx, conn)
 		}()
 	}
+}
+
+// refuse turns away a connection over the MaxConns cap with one
+// retryable unavailable error frame on stream 0, which no client ever
+// opens. It reads the preamble first and drains the peer's frames
+// until the peer hangs up: closing with unread input would reset the
+// connection and could destroy the error frame before the client
+// reads it.
+func (ws *WireServer) refuse(conn net.Conn) {
+	if err := conn.SetDeadline(time.Now().Add(refuseTimeout)); err != nil {
+		return
+	}
+	if !readPreamble(conn) {
+		return
+	}
+	frame := appendErrorFrame(nil, 0, authErrf(CodeUnavailable, "",
+		"%w: connection cap %d reached", ErrUnavailable, ws.cfg.MaxConns))
+	if _, err := conn.Write(frame); err != nil {
+		return
+	}
+	// Best-effort: the drain ends at the peer's hang-up or the
+	// deadline, and the connection is closed either way.
+	_, _ = io.Copy(io.Discard, conn)
 }
 
 // Close stops the listener and tears down open connections.
@@ -308,50 +259,6 @@ func (ws *WireServer) Close() {
 	}
 	ws.mu.Unlock()
 	ws.wg.Wait()
-}
-
-// msgReader reads size-capped, deadline-guarded, newline-delimited
-// JSON messages from a connection.
-type msgReader struct {
-	conn     net.Conn
-	buf      *bufio.Reader
-	maxBytes int
-	idle     time.Duration
-}
-
-// newMsgReader wraps an existing buffered reader so the negotiation
-// sniff and the v1 loop share one buffer (bytes peeked during the
-// sniff are not lost).
-func newMsgReader(conn net.Conn, br *bufio.Reader, cfg WireConfig) *msgReader {
-	return &msgReader{
-		conn:     conn,
-		buf:      br,
-		maxBytes: cfg.MaxMessageBytes,
-		idle:     cfg.IdleTimeout,
-	}
-}
-
-// next decodes one message, enforcing the idle deadline and size cap.
-func (mr *msgReader) next(msg *wireMsg) error {
-	if err := mr.conn.SetReadDeadline(time.Now().Add(mr.idle)); err != nil {
-		return err
-	}
-	var line []byte
-	for {
-		chunk, err := mr.buf.ReadSlice('\n')
-		line = append(line, chunk...)
-		if len(line) > mr.maxBytes {
-			return authErrf(CodeInvalidRequest, "", "auth: wire message exceeds %d bytes", mr.maxBytes)
-		}
-		if err == nil {
-			break
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		return err
-	}
-	return json.Unmarshal(line, msg)
 }
 
 // acquire takes an in-flight transaction slot without blocking. It
@@ -370,320 +277,94 @@ func (ws *WireServer) acquire() func() {
 	}
 }
 
-// handle negotiates the framing and runs the connection to
-// completion. Under ProtoAuto the first bytes decide: the v2 preamble
-// selects the binary demultiplexer, anything else the v1 JSON loop.
+// readPreamble consumes the connection's opening bytes and reports
+// whether they are the preamble. Anything else — a JSON line from a
+// retired newline-JSON client, a torn or garbage preamble — has no
+// framing it could be answered in, so callers hang up without a reply.
+func readPreamble(r io.Reader) bool {
+	var got [wire.PreambleLen]byte
+	if _, err := io.ReadFull(r, got[:]); err != nil {
+		return false
+	}
+	return got == wire.Preamble()
+}
+
+// handle checks the preamble and runs the connection's stream
+// demultiplexer to completion.
 func (ws *WireServer) handle(ctx context.Context, conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 32<<10)
-	proto, err := ws.sniff(conn, br)
-	if err != nil {
-		return
-	}
-	if proto == ProtoV2 {
-		ws.handleV2(ctx, conn, br)
-		return
-	}
-	ws.handleV1(ctx, conn, br)
-}
-
-// sniff decides the framing of one connection. It consumes the v2
-// preamble when present and nothing otherwise.
-func (ws *WireServer) sniff(conn net.Conn, br *bufio.Reader) (Proto, error) {
-	if ws.cfg.Proto == ProtoV1 {
-		return ProtoV1, nil
-	}
 	if err := conn.SetReadDeadline(time.Now().Add(ws.cfg.IdleTimeout)); err != nil {
-		return ProtoV1, err
+		return
 	}
-	pre := wire.Preamble()
-	head, err := br.Peek(wire.PreambleLen)
-	if len(head) > 0 && head[0] != pre[0] {
-		// 0xA7 never begins JSON, so any other first byte is a v1
-		// peer (possibly a short one that EOFed before 4 bytes).
-		if ws.cfg.Proto == ProtoV2 {
-			// The server speaks only v2; answer in the framing the
-			// peer evidently expects, then hang up.
-			conn.SetWriteDeadline(time.Now().Add(ws.cfg.IdleTimeout))
-			_ = sendErr(json.NewEncoder(conn), authErrf(CodeInvalidRequest, "",
-				"auth: server requires wire protocol v2"))
-			return ProtoV1, authErrf(CodeInvalidRequest, "", "auth: v1 peer on a v2-only server")
-		}
-		return ProtoV1, nil
+	br := bufio.NewReaderSize(conn, 32<<10)
+	if !readPreamble(br) {
+		return
 	}
-	if err != nil {
-		return ProtoV1, err
-	}
-	if [wire.PreambleLen]byte(head) != pre {
-		// Starts with the magic byte but is not the preamble: framing
-		// garbage we cannot answer in any known framing.
-		return ProtoV1, authErrf(CodeInvalidRequest, "", "auth: bad v2 preamble")
-	}
-	br.Discard(wire.PreambleLen)
-	return ProtoV2, nil
+	ws.serveStreams(ctx, conn, br)
 }
 
-// handleV1 runs the lock-step newline-JSON transaction loop.
-func (ws *WireServer) handleV1(ctx context.Context, conn net.Conn, br *bufio.Reader) {
-	mr := newMsgReader(conn, br, ws.cfg)
-	enc := json.NewEncoder(conn)
-	for tx := 0; tx < ws.cfg.MaxTransactionsPerConn; tx++ {
-		var msg wireMsg
-		if err := mr.next(&msg); err != nil {
-			return // EOF, timeout, oversized, or broken peer: drop
-		}
-		release := ws.acquire()
-		if release == nil {
-			// Shedding: the peer's request was well-formed, so answer
-			// with unavailable and keep the connection — the client
-			// backs off and retries instead of redialling into the
-			// accept queue.
-			if err := sendErr(enc, authErrf(CodeUnavailable, ClientID(msg.ClientID),
-				"%w: in-flight transaction cap %d reached", ErrUnavailable, ws.cfg.MaxInFlight)); err != nil {
-				return // write failed: the peer is gone
-			}
-			continue
-		}
-		err := ws.dispatch(ctx, mr, enc, msg)
-		release()
-		if err != nil {
-			return
-		}
-	}
-}
-
-// dispatch runs one transaction; a non-nil error tears the connection
-// down (broken peer, failed write, or protocol confusion).
-func (ws *WireServer) dispatch(ctx context.Context, mr *msgReader, enc *json.Encoder, msg wireMsg) error {
-	switch msg.Type {
-	case "authenticate":
-		return ws.handleAuthenticate(ctx, mr, enc, msg)
-	case "remap":
-		return ws.handleRemap(ctx, mr, enc, msg)
-	default:
-		werr := authErrf(CodeInvalidRequest, "", "unknown message type %q", msg.Type)
-		if err := sendErr(enc, werr); err != nil {
-			return err
-		}
-		return werr
-	}
-}
-
-// sendErr reports a failure to the peer, carrying the typed taxonomy
-// so the remote client reconstructs the same *AuthError. The returned
-// error is the transport write failure, if any — callers tear the
-// connection down on it rather than silently continuing against a
-// peer that can no longer hear us.
-func sendErr(enc *json.Encoder, err error) error {
-	m := wireMsg{Type: "error", Error: err.Error(), ErrorCode: string(CodeOf(err))}
+// appendErrorFrame appends the error frame reporting err on stream:
+// the stable code, the client it concerned, and the cause text. The
+// client rebuilds the same *AuthError from it (errorFromWire).
+func appendErrorFrame(dst []byte, stream uint32, err error) []byte {
+	client := ""
+	msg := err.Error()
 	var ae *AuthError
 	if errors.As(err, &ae) {
-		m.ErrorClient = string(ae.ClientID)
+		client = string(ae.ClientID)
 		if ae.Err != nil {
-			// Send the cause text: the receiving side re-wraps it in an
-			// AuthError, which re-attaches the structured suffix.
-			m.Error = ae.Err.Error()
+			// Send the cause text: the receiving side re-wraps it in
+			// an AuthError, which re-attaches the structured suffix.
+			msg = ae.Err.Error()
 		}
 	}
-	return enc.Encode(m)
+	return wire.AppendError(dst, stream, string(CodeOf(err)), client, msg)
 }
 
-// handleAuthenticate runs one v1 authentication transaction. A
-// non-nil return means the connection is no longer usable; protocol
-// failures answered in-band return nil.
-func (ws *WireServer) handleAuthenticate(ctx context.Context, mr *msgReader, enc *json.Encoder, msg wireMsg) error {
-	ch, err := ws.backend.BeginAuth(ctx, ClientID(msg.ClientID))
-	if err != nil {
-		return sendErr(enc, err)
-	}
-	if err := enc.Encode(wireMsg{Type: "challenge", Challenge: ch}); err != nil {
-		return err
-	}
-	var respMsg wireMsg
-	if err := mr.next(&respMsg); err != nil {
-		return err
-	}
-	if respMsg.Type != "response" || respMsg.Response == nil {
-		return sendErr(enc, authErrf(CodeInvalidRequest, ClientID(msg.ClientID), "expected response, got %q", respMsg.Type))
-	}
-	v, err := ws.backend.FinishAuth(ctx, ClientID(msg.ClientID), respMsg.ChallengeID, *respMsg.Response)
-	if err != nil {
-		return sendErr(enc, err)
-	}
-	verdict := wireMsg{Type: "verdict", Accepted: v.Accepted, RemapAdvised: v.RemapAdvised}
-	if v.HasConfirm {
-		verdict.Confirm = hex.EncodeToString(v.Confirm[:])
-	}
-	return enc.Encode(verdict)
-}
-
-// handleRemap runs one v1 key-update transaction; error semantics as
-// handleAuthenticate.
-func (ws *WireServer) handleRemap(ctx context.Context, mr *msgReader, enc *json.Encoder, msg wireMsg) error {
-	req, err := ws.backend.BeginRemapTx(ctx, ClientID(msg.ClientID))
-	if err != nil {
-		return sendErr(enc, err)
-	}
-	if err := enc.Encode(wireMsg{Type: "remap_challenge", Remap: req}); err != nil {
-		return err
-	}
-	var done wireMsg
-	if err := mr.next(&done); err != nil {
-		return err
-	}
-	if done.Type != "remap_done" {
-		return sendErr(enc, authErrf(CodeInvalidRequest, ClientID(msg.ClientID), "expected remap_done, got %q", done.Type))
-	}
-	if err := ws.backend.FinishRemapTx(ctx, ClientID(msg.ClientID), done.Success); err != nil {
-		return sendErr(enc, err)
-	}
-	return enc.Encode(wireMsg{Type: "remap_ack"})
-}
-
-// WireClient is the client side of the TCP transport. A v1 client
-// (Dial, NewWireClient) runs lock-step transactions and is not safe
-// for concurrent use. A v2 client (DialV2, NewWireClientV2) speaks
-// the binary framing and pipelines: concurrent callers each get
-// their own stream on the shared connection.
+// WireClient is the client side of the TCP transport. It is safe for
+// concurrent use: each transaction runs on its own stream of the one
+// connection, so concurrent callers pipeline.
 type WireClient struct {
-	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
-	// c2 is the binary-framing engine; nil on v1 clients. Methods
-	// dispatch on it.
-	c2 *clientV2
+	c *clientV2
 }
 
-// Dial connects to a WireServer speaking v1. ctx bounds the
-// connection attempt only; pass a context to each transaction to
-// bound the transaction.
+// Dial connects to a WireServer. ctx bounds the connection attempt
+// only; pass a context to each transaction to bound the transaction.
 func Dial(ctx context.Context, addr string) (*WireClient, error) {
-	return DialProto(ctx, addr, ProtoV1)
-}
-
-// DialV2 connects speaking the v2 binary framing (the server must be
-// ProtoAuto or ProtoV2).
-func DialV2(ctx context.Context, addr string) (*WireClient, error) {
-	return DialProto(ctx, addr, ProtoV2)
-}
-
-// DialProto connects with an explicit framing choice. ProtoAuto
-// means v1 on the client side: the server is the negotiating party.
-func DialProto(ctx context.Context, addr string, proto Proto) (*WireClient, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if proto == ProtoV2 {
-		return NewWireClientV2(conn)
-	}
-	return NewWireClient(conn), nil
+	return NewWireClient(conn)
 }
 
 // NewWireClient wraps an already-established connection (fault
-// injection wraps conns here); Dial is the production path.
-func NewWireClient(conn net.Conn) *WireClient {
-	return &WireClient{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}
-}
-
-// NewWireClientV2 wraps an already-established connection with the
-// binary framing, writing the v2 preamble immediately.
-func NewWireClientV2(conn net.Conn) (*WireClient, error) {
-	c2, err := newClientV2(conn)
+// injection wraps conns here), writing the preamble immediately; Dial
+// is the production path.
+func NewWireClient(conn net.Conn) (*WireClient, error) {
+	c, err := newClientV2(conn)
 	if err != nil {
 		return nil, err
 	}
-	return &WireClient{conn: conn, c2: c2}, nil
+	return &WireClient{c: c}, nil
 }
+
+// NewWireClientV2 is NewWireClient.
+//
+// Deprecated: there is one framing; use NewWireClient.
+func NewWireClientV2(conn net.Conn) (*WireClient, error) { return NewWireClient(conn) }
 
 // Close releases the connection.
-func (wc *WireClient) Close() error {
-	if wc.c2 != nil {
-		return wc.c2.close()
-	}
-	return wc.conn.Close()
-}
+func (wc *WireClient) Close() error { return wc.c.close() }
 
-// armCtx attaches ctx to the connection for the duration of one
-// transaction: the context deadline becomes the I/O deadline, and
-// cancellation mid-transaction unblocks any in-flight read or write by
-// forcing the deadline into the past. The returned release must be
-// called when the transaction ends.
-func (wc *WireClient) armCtx(ctx context.Context) (release func(), err error) {
-	if err := ctxErr(ctx, ""); err != nil {
-		return nil, err
-	}
-	deadline := time.Time{}
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	if err := wc.conn.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
-	stop := context.AfterFunc(ctx, func() {
-		wc.conn.SetDeadline(time.Unix(1, 0))
-	})
-	return func() { stop() }, nil
-}
-
-// ioErr converts a transport failure during a context-bound
-// transaction into the typed taxonomy when the context caused it.
-func ioErr(ctx context.Context, err error) error {
-	if err == nil {
-		return nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return &AuthError{Code: CodeCanceled, Err: cerr}
-	}
-	// armCtx mirrors the context deadline onto the connection, so a
-	// transport timeout during an armed transaction is the context
-	// expiring — the net timer can fire a beat before the context's
-	// own timer does.
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		if _, ok := ctx.Deadline(); ok {
-			return &AuthError{Code: CodeCanceled, Err: context.DeadlineExceeded}
-		}
-	}
-	return err
-}
-
-func (wc *WireClient) recv() (wireMsg, error) {
-	var msg wireMsg
-	if err := wc.dec.Decode(&msg); err != nil {
-		if errors.Is(err, io.EOF) {
-			// A clean close mid-transaction is a transport loss, not a
-			// protocol verdict: the transaction never completed, so it
-			// is safe (and correct) to retry on a fresh connection. The
-			// EOF stays in the chain so retry loops know this
-			// connection is gone (unlike a shed response, which leaves
-			// it healthy).
-			return msg, authErrf(CodeUnavailable, "", "%w: server closed connection: %w", ErrUnavailable, io.EOF)
-		}
-		return msg, err
-	}
-	if msg.Type == "error" {
-		return msg, errorFromWire(ErrorCode(msg.ErrorCode), ClientID(msg.ErrorClient), msg.Error)
-	}
-	return msg, nil
-}
-
-// confirmTagRaw derives the non-secret key-confirmation value
-// exchanged on the wire: HMAC(sessionKey, "confirm"). The v2 framing
-// carries it raw; v1 hex-encodes it (confirmTag).
-func confirmTagRaw(sessionKey [32]byte) [32]byte {
+// confirmTag derives the non-secret key-confirmation value a verdict
+// carries: HMAC(sessionKey, "confirm").
+func confirmTag(sessionKey [32]byte) [32]byte {
 	mac := hmac.New(sha256.New, sessionKey[:])
 	mac.Write([]byte("authenticache/session/confirm"))
 	var tag [32]byte
 	mac.Sum(tag[:0])
 	return tag
-}
-
-// confirmTag is confirmTagRaw hex encoded, as the v1 JSON framing
-// spells it.
-func confirmTag(sessionKey [32]byte) string {
-	tag := confirmTagRaw(sessionKey)
-	return hex.EncodeToString(tag[:])
 }
 
 // Authenticate runs one full authentication transaction for the
@@ -699,104 +380,11 @@ func (wc *WireClient) Authenticate(ctx context.Context, r *Responder) (bool, err
 // the locally derived key is treated as a protocol failure (a
 // tampering or desynchronisation signal).
 func (wc *WireClient) AuthenticateSession(ctx context.Context, r *Responder) (bool, [32]byte, error) {
-	var zero [32]byte
-	if wc.c2 != nil {
-		return wc.c2.authenticateSession(ctx, r)
-	}
-	release, err := wc.armCtx(ctx)
-	if err != nil {
-		return false, zero, err
-	}
-	defer release()
-	if err := wc.enc.Encode(wireMsg{Type: "authenticate", ClientID: string(r.ID)}); err != nil {
-		return false, zero, ioErr(ctx, err)
-	}
-	msg, err := wc.recv()
-	if err != nil {
-		return false, zero, ioErr(ctx, err)
-	}
-	if msg.Type != "challenge" || msg.Challenge == nil {
-		return false, zero, authErrf(CodeInvalidRequest, "", "auth: expected challenge, got %q", msg.Type)
-	}
-	resp, err := r.Respond(msg.Challenge)
-	if err != nil {
-		return false, zero, err
-	}
-	if err := wc.enc.Encode(wireMsg{
-		Type:        "response",
-		ChallengeID: msg.Challenge.ID,
-		Response:    &resp,
-	}); err != nil {
-		return false, zero, ioErr(ctx, err)
-	}
-	verdict, err := wc.recv()
-	if err != nil {
-		return false, zero, ioErr(ctx, err)
-	}
-	if verdict.Type != "verdict" {
-		return false, zero, authErrf(CodeInvalidRequest, "", "auth: expected verdict, got %q", verdict.Type)
-	}
-	if !verdict.Accepted {
-		return false, zero, nil
-	}
-	sessionKey := r.SessionKey(msg.Challenge)
-	if verdict.Confirm != confirmTag(sessionKey) {
-		return false, zero, authErrf(CodeInvalidRequest, "", "auth: session key confirmation mismatch")
-	}
-	if verdict.RemapAdvised {
-		// The server says the CRP budget under this key is spent; run
-		// the key-update transaction immediately so the next
-		// authentication uses a fresh logical map.
-		if err := wc.remapArmed(ctx, r); err != nil {
-			return true, sessionKey, fmt.Errorf("auth: advised remap failed: %w", err)
-		}
-	}
-	return true, sessionKey, nil
+	return wc.c.authenticateSession(ctx, r)
 }
 
 // Remap runs one key-update transaction, rotating the responder's key
 // on success.
 func (wc *WireClient) Remap(ctx context.Context, r *Responder) error {
-	if wc.c2 != nil {
-		if err := ctxErr(ctx, ""); err != nil {
-			return err
-		}
-		return wc.c2.remap(ctx, r)
-	}
-	release, err := wc.armCtx(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return wc.remapArmed(ctx, r)
-}
-
-// remapArmed runs the remap transaction on a connection whose context
-// is already armed.
-func (wc *WireClient) remapArmed(ctx context.Context, r *Responder) error {
-	if err := wc.enc.Encode(wireMsg{Type: "remap", ClientID: string(r.ID)}); err != nil {
-		return ioErr(ctx, err)
-	}
-	msg, err := wc.recv()
-	if err != nil {
-		return ioErr(ctx, err)
-	}
-	if msg.Type != "remap_challenge" || msg.Remap == nil {
-		return authErrf(CodeInvalidRequest, "", "auth: expected remap_challenge, got %q", msg.Type)
-	}
-	success := r.HandleRemap(msg.Remap) == nil
-	if err := wc.enc.Encode(wireMsg{Type: "remap_done", Success: success}); err != nil {
-		return ioErr(ctx, err)
-	}
-	ack, err := wc.recv()
-	if err != nil {
-		return ioErr(ctx, err)
-	}
-	if ack.Type != "remap_ack" {
-		return authErrf(CodeInvalidRequest, "", "auth: expected remap_ack, got %q", ack.Type)
-	}
-	if !success {
-		return authErrf(CodeInternal, "", "auth: client failed to derive the new key")
-	}
-	return nil
+	return wc.c.remap(ctx, r)
 }

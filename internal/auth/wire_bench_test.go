@@ -16,8 +16,7 @@ import (
 
 // BenchmarkWireTxPerConn measures authentication transactions per
 // second over ONE TCP connection — the number the framing actually
-// changes. v1 is lock-step JSON, so one connection is one transaction
-// at a time; v2 multiplexes depth concurrent streams over the same
+// changes. The client multiplexes depth concurrent streams over the
 // connection and batches frame writes, so depth>1 amortises both the
 // codec and the syscalls.
 //
@@ -25,22 +24,21 @@ import (
 // transaction CPU (codec + framing + auth core). The rtt=1ms/*
 // variants route the client through a fault.DelayConn that models
 // 1 ms of round-trip propagation — the regime the framing was built
-// for: lock-step v1 pays the full RTT per transaction, while v2
-// keeps depth transactions in flight and hides it.
+// for: depth transactions in flight hide the RTT. The v2 in the row
+// names is the framing version; the rows keep their names so
+// BENCH_wire.json stays comparable across commits.
 //
 // Challenge pairs burn forever (the no-reuse registry), so CI runs
 // this with a fixed -benchtime iteration count rather than wall time;
 // scripts/bench_wire.sh regenerates BENCH_wire.json from it.
 func BenchmarkWireTxPerConn(b *testing.B) {
-	b.Run("local/v1/depth=1", func(b *testing.B) { benchWireTx(b, ProtoV1, 1, 0) })
-	b.Run("local/v2/depth=1", func(b *testing.B) { benchWireTx(b, ProtoV2, 1, 0) })
-	b.Run("local/v2/depth=8", func(b *testing.B) { benchWireTx(b, ProtoV2, 8, 0) })
-	b.Run("local/v2/depth=64", func(b *testing.B) { benchWireTx(b, ProtoV2, 64, 0) })
+	b.Run("local/v2/depth=1", func(b *testing.B) { benchWireTx(b, 1, 0) })
+	b.Run("local/v2/depth=8", func(b *testing.B) { benchWireTx(b, 8, 0) })
+	b.Run("local/v2/depth=64", func(b *testing.B) { benchWireTx(b, 64, 0) })
 	const rtt = time.Millisecond
-	b.Run("rtt=1ms/v1/depth=1", func(b *testing.B) { benchWireTx(b, ProtoV1, 1, rtt) })
-	b.Run("rtt=1ms/v2/depth=8", func(b *testing.B) { benchWireTx(b, ProtoV2, 8, rtt) })
-	b.Run("rtt=1ms/v2/depth=16", func(b *testing.B) { benchWireTx(b, ProtoV2, 16, rtt) })
-	b.Run("rtt=1ms/v2/depth=64", func(b *testing.B) { benchWireTx(b, ProtoV2, 64, rtt) })
+	b.Run("rtt=1ms/v2/depth=8", func(b *testing.B) { benchWireTx(b, 8, rtt) })
+	b.Run("rtt=1ms/v2/depth=16", func(b *testing.B) { benchWireTx(b, 16, rtt) })
+	b.Run("rtt=1ms/v2/depth=64", func(b *testing.B) { benchWireTx(b, 64, rtt) })
 }
 
 // benchLines is the bench geometry: 2048 lines keeps the no-reuse
@@ -51,7 +49,7 @@ func BenchmarkWireTxPerConn(b *testing.B) {
 // variants and a fraction of that per lane elsewhere.
 const benchLines = 2048
 
-func benchWireTx(b *testing.B, proto Proto, depth int, rtt time.Duration) {
+func benchWireTx(b *testing.B, depth int, rtt time.Duration) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
 	cfg.ChallengeBits = 128
@@ -109,14 +107,9 @@ func benchWireTx(b *testing.B, proto Proto, depth int, rtt time.Duration) {
 		// return path is direct.
 		nc = fault.NewDelayConn(conn, rtt)
 	}
-	var wc *WireClient
-	if proto == ProtoV2 {
-		wc, err = NewWireClientV2(nc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		wc = NewWireClient(nc)
+	wc, err := NewWireClient(nc)
+	if err != nil {
+		b.Fatal(err)
 	}
 	defer wc.Close()
 

@@ -14,12 +14,15 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzWireServer feeds arbitrary bytes — truncated frames, oversized
-// lines, malformed JSON, half-valid transactions — straight into the
-// server's per-connection handler. The handler must never panic, hang
-// past its idle deadline, or leak the goroutine; hostile input may
-// only ever produce typed error responses or a dropped connection.
+// FuzzWireServer feeds arbitrary bytes — non-preamble openers, torn
+// preambles, truncated frames, half-valid transactions — straight
+// into the server's per-connection handler. The handler must never
+// panic, hang past its idle deadline, or leak the goroutine; hostile
+// input may only ever produce typed error responses or a dropped
+// connection.
 func FuzzWireServer(f *testing.F) {
+	// Openers without the preamble, among them the newline-JSON
+	// transactions of the retired v1 framing: all must be hung up on.
 	f.Add([]byte("{\"type\":\"authenticate\",\"client_id\":\"fuzz-dev\"}\n"))
 	f.Add([]byte("{\"type\":\"authenticate\",\"client_id\":\"fuzz-dev\"}\n{\"type\":\"response\",\"challenge_id\":1}\n"))
 	f.Add([]byte("{\"type\":\"remap\",\"client_id\":\"fuzz-dev\"}\n"))
@@ -28,8 +31,7 @@ func FuzzWireServer(f *testing.F) {
 	f.Add([]byte("not json at all\n\x00\xff\xfe\n"))
 	f.Add(make([]byte, 1<<12)) // a page of zeros: oversized unterminated line
 	f.Add([]byte("\n\n\n"))
-	// The handler negotiates framing from the first bytes, so raw
-	// fuzz input also exercises the v2 accept path: exact preamble,
+	// The preamble path: exact preamble, preamble plus a frame,
 	// preamble plus garbage, torn preamble, and magic-but-not-preamble.
 	pre := wire.Preamble()
 	f.Add(pre[:])

@@ -1,42 +1,52 @@
 package auth
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/wire"
 )
 
-// An oversized message must get the connection dropped, not buffered.
+// A frame header claiming a payload over MaxMessageBytes must get the
+// connection dropped without the payload being read or buffered.
 func TestWireRejectsOversizedMessage(t *testing.T) {
 	srv, _ := wireFixture(t, 680)
 	addr, stop := startWire(t, srv)
 	defer stop()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, br := dialRaw(t, addr)
 	defer conn.Close()
 
-	// 2 MiB of valid JSON with no newline until the end.
-	huge := `{"type":"authenticate","client_id":"` + strings.Repeat("A", 2<<20) + `"}` + "\n"
-	if _, err := conn.Write([]byte(huge)); err != nil {
+	// A header announcing a 2 MiB client id, then only the first few
+	// bytes of it. A server that tried to read the payload would wait
+	// for the rest until its 30 s idle deadline; the cap check must
+	// hang up at once.
+	frame := wire.AppendClientID(nil, 1, wire.OpAuthenticate, "AAAAAAAA")
+	binary.BigEndian.PutUint32(frame[7:11], 2<<20)
+	if _, err := conn.Write(frame); err != nil {
 		// The server may already have hung up mid-write; that is the
 		// desired outcome.
 		return
 	}
-	// Any response must be a closed connection, not a challenge.
-	var buf [512]byte
-	n, _ := conn.Read(buf[:])
-	if n > 0 && bytes.Contains(buf[:n], []byte(`"challenge"`)) {
-		t.Fatal("oversized message was processed")
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	b := wire.GetBuf()
+	defer wire.PutBuf(b)
+	err := wire.ReadFrameInto(br, b, 1<<20)
+	if err == nil {
+		t.Fatalf("oversized frame was answered with op %q", b.Op)
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server waited for the oversized payload instead of hanging up")
 	}
 }
 
-// A message that is valid JSON but garbage after the first transaction
-// must not take the server down for other clients.
+// Garbage from one peer — bytes that are not the preamble, or broken
+// framing after it — must not take the server down for other clients.
 func TestWireSurvivesAbusiveClient(t *testing.T) {
 	srv, resp := wireFixture(t, 680, 700)
 	addr, stop := startWire(t, srv)
@@ -46,8 +56,12 @@ func TestWireSurvivesAbusiveClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Write([]byte("this is not json\n"))
+	bad.Write([]byte("this is not a preamble\n"))
 	bad.Close()
+
+	framed, _ := dialRaw(t, addr)
+	framed.Write([]byte("neither is this a frame"))
+	framed.Close()
 
 	good, err := Dial(ctx, addr)
 	if err != nil {
@@ -60,63 +74,59 @@ func TestWireSurvivesAbusiveClient(t *testing.T) {
 	}
 }
 
-// The server must not crash on a response message missing its payload.
+// The server must not crash on a response frame missing its payload:
+// the stream is answered invalid_request.
 func TestWireNilResponsePayload(t *testing.T) {
 	srv, _ := wireFixture(t, 680)
 	addr, stop := startWire(t, srv)
 	defer stop()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, br := dialRaw(t, addr)
 	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-	if err := enc.Encode(wireMsg{Type: "authenticate", ClientID: "tcp-dev"}); err != nil {
+	if _, err := conn.Write(wire.AppendClientID(nil, 1, wire.OpAuthenticate, "tcp-dev")); err != nil {
 		t.Fatal(err)
 	}
-	var challenge wireMsg
-	if err := dec.Decode(&challenge); err != nil {
+	challenge := readFrame(t, br)
+	op := challenge.Op
+	wire.PutBuf(challenge)
+	if op != wire.OpChallenge {
+		t.Fatalf("got %q, want challenge", op)
+	}
+	if _, err := conn.Write(wire.AppendRaw(nil, 1, wire.OpResponse, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(wireMsg{Type: "response", ChallengeID: challenge.Challenge.ID}); err != nil {
-		t.Fatal(err)
+	reply := readFrame(t, br)
+	defer wire.PutBuf(reply)
+	if reply.Op != wire.OpError {
+		t.Fatalf("expected error for empty payload, got %q", reply.Op)
 	}
-	var reply wireMsg
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != "error" {
-		t.Fatalf("expected error for nil payload, got %q", reply.Type)
+	if err := frameErr(reply); CodeOf(err) != CodeInvalidRequest {
+		t.Fatalf("empty response payload answered %v, want CodeInvalidRequest", err)
 	}
 }
 
-// msgReader must reassemble messages larger than its internal buffer
-// (but under the cap).
+// Frames larger than the server's 32 KiB read buffer (but under the
+// cap) must be reassembled, not refused.
 func TestMsgReaderLargeButLegalMessage(t *testing.T) {
 	srv, _ := wireFixture(t, 680)
 	addr, stop := startWire(t, srv)
 	defer stop()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, br := dialRaw(t, addr)
 	defer conn.Close()
-	// 100 KB client id: bigger than the 32 KB bufio buffer, smaller
-	// than the 1 MB cap; the server must parse it and answer with a
+	// 100 KiB client id: bigger than the 32 KiB bufio buffer, smaller
+	// than the 1 MiB cap; the server must parse it and answer with a
 	// clean protocol error (unknown client).
 	id := strings.Repeat("x", 100<<10)
-	msg := `{"type":"authenticate","client_id":"` + id + `"}` + "\n"
-	if _, err := conn.Write([]byte(msg)); err != nil {
+	if _, err := conn.Write(wire.AppendClientID(nil, 1, wire.OpAuthenticate, id)); err != nil {
 		t.Fatal(err)
 	}
-	var reply wireMsg
-	if err := json.NewDecoder(conn).Decode(&reply); err != nil {
-		t.Fatal(err)
+	reply := readFrame(t, br)
+	defer wire.PutBuf(reply)
+	if reply.Op != wire.OpError {
+		t.Fatalf("reply op = %q, want error", reply.Op)
 	}
-	if reply.Type != "error" || !strings.Contains(reply.Error, "unknown client") {
-		t.Fatalf("reply = %+v", reply)
+	if err := frameErr(reply); CodeOf(err) != CodeUnknownClient {
+		t.Fatalf("reply = %v, want CodeUnknownClient", err)
 	}
 }

@@ -1,13 +1,15 @@
 package auth
 
 import (
-	"encoding/json"
+	"bufio"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/errormap"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // startWire spins up a wire server on a random localhost port.
@@ -52,70 +54,6 @@ func wireFixture(t *testing.T, vdds ...int) (*Server, *Responder) {
 	return srv, NewResponder("tcp-dev", NewSimDevice(m), key)
 }
 
-func TestWireAuthenticateEndToEnd(t *testing.T) {
-	srv, resp := wireFixture(t, 680, 700)
-	addr, stop := startWire(t, srv)
-	defer stop()
-
-	wc, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wc.Close()
-	for i := 0; i < 3; i++ {
-		ok, err := wc.Authenticate(ctx, resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("genuine client rejected over TCP (round %d)", i)
-		}
-	}
-}
-
-func TestWireRemapEndToEnd(t *testing.T) {
-	srv, resp := wireFixture(t, 680, 700)
-	addr, stop := startWire(t, srv)
-	defer stop()
-
-	wc, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wc.Close()
-	oldKey := resp.Key()
-	if err := wc.Remap(ctx, resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Key() == oldKey {
-		t.Fatal("key not rotated over TCP")
-	}
-	// Authentication still works under the rotated key.
-	ok, err := wc.Authenticate(ctx, resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("post-remap TCP authentication failed")
-	}
-}
-
-func TestWireUnknownClient(t *testing.T) {
-	srv, _ := wireFixture(t, 680)
-	addr, stop := startWire(t, srv)
-	defer stop()
-
-	wc, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wc.Close()
-	ghost := NewResponder("ghost", NewSimDevice(errormap.NewMap(errormap.NewGeometry(64))), resp0Key())
-	if _, err := wc.Authenticate(ctx, ghost); err == nil {
-		t.Fatal("unknown client authenticated")
-	}
-}
-
 func resp0Key() (k [32]byte) { return }
 
 func TestWireConcurrentClients(t *testing.T) {
@@ -158,24 +96,57 @@ type strErr struct{ s string }
 
 func (e *strErr) Error() string { return e.s }
 
+// An opcode the server does not know is framing confusion: answered
+// with a typed invalid_request error, then a hang-up.
 func TestWireMalformedMessage(t *testing.T) {
 	srv, _ := wireFixture(t, 680)
 	addr, stop := startWire(t, srv)
 	defer stop()
 
+	conn, br := dialRaw(t, addr)
+	defer conn.Close()
+	if _, err := conn.Write(wire.AppendRaw(nil, 1, wire.Opcode(99), nil)); err != nil {
+		t.Fatal(err)
+	}
+	b := readFrame(t, br)
+	defer wire.PutBuf(b)
+	if b.Op != wire.OpError || b.Stream != 1 {
+		t.Fatalf("got stream %d op %q, want an error on stream 1", b.Stream, b.Op)
+	}
+	if err := frameErr(b); CodeOf(err) != CodeInvalidRequest {
+		t.Fatalf("unknown opcode answered %v, want CodeInvalidRequest", err)
+	}
+	if err := wire.ReadFrameInto(br, b, 1<<20); err == nil {
+		t.Fatalf("server kept the connection after an unknown opcode (next frame op %q)", b.Op)
+	}
+}
+
+// dialRaw opens a connection to a wire server and sends the preamble,
+// for tests that speak frames directly. The connection carries a
+// 10 s deadline so a server that never answers fails the test.
+func dialRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(map[string]any{"type": "bogus"}); err != nil {
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	pre := wire.Preamble()
+	if _, err := conn.Write(pre[:]); err != nil {
+		conn.Close()
 		t.Fatal(err)
 	}
-	var msg wireMsg
-	if err := json.NewDecoder(conn).Decode(&msg); err != nil {
+	return conn, bufio.NewReader(conn)
+}
+
+// readFrame reads one frame the server sent; the caller returns it to
+// the pool.
+func readFrame(t *testing.T, br *bufio.Reader) *wire.Buf {
+	t.Helper()
+	b := wire.GetBuf()
+	if err := wire.ReadFrameInto(br, b, 1<<20); err != nil {
+		wire.PutBuf(b)
 		t.Fatal(err)
 	}
-	if msg.Type != "error" {
-		t.Fatalf("expected error message, got %q", msg.Type)
-	}
+	return b
 }

@@ -14,12 +14,12 @@ import (
 	"repro/internal/wire"
 )
 
-// clientV2 is the binary-framed, pipelining client engine behind a
-// v2 WireClient: many transactions share one connection, each on its
+// clientV2 is the pipelining client engine behind WireClient and
+// RelayClient: many transactions share one connection, each on its
 // own stream. A reader goroutine routes incoming frames to
 // per-stream channels; a frameWriter goroutine coalesces outgoing
-// frames. Unlike the v1 client, concurrent callers are supported —
-// that concurrency IS the pipelining.
+// frames. Concurrent callers are supported — that concurrency IS the
+// pipelining.
 type clientV2 struct {
 	conn net.Conn
 	fw   *frameWriter
@@ -34,8 +34,8 @@ type clientV2 struct {
 	rerr error
 }
 
-// newClientV2 wraps an established connection, writes the v2
-// preamble, and starts the reader and writer goroutines.
+// newClientV2 wraps an established connection, writes the preamble,
+// and starts the reader and writer goroutines.
 func newClientV2(conn net.Conn) (*clientV2, error) {
 	pre := wire.Preamble()
 	if _, err := conn.Write(pre[:]); err != nil {
@@ -73,6 +73,17 @@ func (c *clientV2) readLoop() {
 		if err := wire.ReadFrameInto(br, b, defaultMaxWireMessageBytes); err != nil {
 			wire.PutBuf(b)
 			c.readFailed(err)
+			return
+		}
+		if b.Stream == 0 && b.Op == wire.OpError {
+			// No client opens stream 0: an error there is the server
+			// refusing the whole connection (its connection cap). The
+			// server hangs up next, so io.EOF joins the chain and a
+			// ResilientClient redials instead of reusing this
+			// connection.
+			err := frameErr(b)
+			wire.PutBuf(b)
+			c.readFailed(fmt.Errorf("%w: %w", err, io.EOF))
 			return
 		}
 		c.mu.Lock()
@@ -140,8 +151,7 @@ func (c *clientV2) closeStream(id uint32) {
 // recv waits for the next frame on a stream, honouring the caller's
 // context and connection loss. On context expiry the stream is
 // abandoned (the reader drops its late frames) and the connection
-// stays healthy for other streams — the v2 analogue of v1's
-// deadline-poisoned connection, minus the poisoning.
+// stays healthy for other streams.
 func (c *clientV2) recv(ctx context.Context, ch chan *wire.Buf) (*wire.Buf, error) {
 	select {
 	case b := <-ch:
@@ -158,11 +168,11 @@ func (c *clientV2) recv(ctx context.Context, ch chan *wire.Buf) (*wire.Buf, erro
 	}
 }
 
-// connLost reports the recorded reader failure as the v1 client
-// would: a clean server close becomes a retryable unavailable with
-// io.EOF in the chain (ResilientClient redials on it); any other
-// transport fault is returned raw, exactly as the v1 recv path
-// surfaces it.
+// connLost reports the recorded reader failure: a clean server close
+// becomes a retryable unavailable with io.EOF in the chain
+// (ResilientClient redials on it), a refusal on stream 0 keeps the
+// server's typed error, and any other transport fault is returned
+// raw.
 func (c *clientV2) connLost() error {
 	c.mu.Lock()
 	err := c.rerr
@@ -171,14 +181,18 @@ func (c *clientV2) connLost() error {
 }
 
 func connLostErr(err error) error {
+	var ae *AuthError
+	if errors.As(err, &ae) {
+		return err
+	}
 	if err == nil || errors.Is(err, io.EOF) {
 		return authErrf(CodeUnavailable, "", "%w: server closed connection: %w", ErrUnavailable, io.EOF)
 	}
 	return err
 }
 
-// frameErr converts an error frame into the same typed *AuthError
-// the v1 client reconstructs.
+// frameErr converts an error frame into the typed *AuthError the
+// server sent.
 func frameErr(b *wire.Buf) error {
 	code, client, msg, derr := wire.DecodeError(b.B)
 	if derr != nil {
@@ -232,12 +246,13 @@ func (c *clientV2) authenticateSession(ctx context.Context, r *Responder) (bool,
 		return false, zero, nil
 	}
 	sessionKey := r.SessionKey(challenge)
-	if !v.HasConfirm || v.Confirm != confirmTagRaw(sessionKey) {
+	if !v.HasConfirm || v.Confirm != confirmTag(sessionKey) {
 		return false, zero, authErrf(CodeInvalidRequest, "", "auth: session key confirmation mismatch")
 	}
 	if v.RemapAdvised {
-		// Same policy as v1: rotate immediately on the server's
-		// advice, on a fresh stream of this connection.
+		// The server says the CRP budget under this key is spent;
+		// rotate immediately, on a fresh stream of this connection, so
+		// the next authentication uses a fresh logical map.
 		if err := c.remap(ctx, r); err != nil {
 			return true, sessionKey, fmt.Errorf("auth: advised remap failed: %w", err)
 		}
@@ -247,6 +262,9 @@ func (c *clientV2) authenticateSession(ctx context.Context, r *Responder) (bool,
 
 // remap runs one pipelined key-update transaction.
 func (c *clientV2) remap(ctx context.Context, r *Responder) error {
+	if err := ctxErr(ctx, ""); err != nil {
+		return err
+	}
 	id, ch, err := c.openStream()
 	if err != nil {
 		return err

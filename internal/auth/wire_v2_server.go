@@ -14,14 +14,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Server side of the v2 binary framing: one reader goroutine per
+// Server side of the binary framing: one reader goroutine per
 // connection demultiplexes frames onto per-stream transaction
 // goroutines, which reply through a shared frameWriter. Streams
 // complete out of order, so a slow verification does not head-of-line
-// block the connection; the existing MaxInFlight shedding applies per
-// transaction exactly as on v1, plus a per-connection stream cap.
+// block the connection; MaxInFlight shedding applies per transaction,
+// plus a per-connection stream cap.
 
-// v2conn is the demultiplexer state for one binary-framed connection.
+// v2conn is the demultiplexer state for one connection.
 type v2conn struct {
 	ws   *WireServer
 	conn net.Conn
@@ -45,9 +45,10 @@ type v2stream struct {
 	inbox chan *wire.Buf
 }
 
-// handleV2 runs one binary-framed connection to completion: reader
-// loop in this goroutine, one goroutine per open stream, one writer.
-func (ws *WireServer) handleV2(ctx context.Context, conn net.Conn, br *bufio.Reader) {
+// serveStreams runs one connection, past its preamble, to completion:
+// reader loop in this goroutine, one goroutine per open stream, one
+// writer.
+func (ws *WireServer) serveStreams(ctx context.Context, conn net.Conn, br *bufio.Reader) {
 	c := &v2conn{
 		ws:         ws,
 		conn:       conn,
@@ -151,8 +152,8 @@ func (c *v2conn) openStream(ctx context.Context, b *wire.Buf) bool {
 	c.mu.Unlock()
 	release := c.ws.acquire()
 	if release == nil {
-		// Global in-flight shedding, same classification as v1: the
-		// client backs off and retries on this healthy connection.
+		// Global in-flight shedding: the client backs off and retries
+		// on this healthy connection.
 		c.closeStream(st.id)
 		stream := b.Stream
 		id := ClientID(b.B)
@@ -250,8 +251,8 @@ func (c *v2conn) runStream(ctx context.Context, st *v2stream, open *wire.Buf) {
 	}
 }
 
-// streamAuthenticate is the v2 counterpart of handleAuthenticate:
-// challenge out, response in, verdict out, all on one stream.
+// streamAuthenticate runs one authentication transaction: challenge
+// out, response in, verdict out, all on one stream.
 func (c *v2conn) streamAuthenticate(ctx context.Context, st *v2stream, id ClientID) {
 	ch, err := c.ws.backend.BeginAuth(ctx, id)
 	if err != nil {
@@ -299,9 +300,9 @@ func (c *v2conn) streamAuthenticate(ctx context.Context, st *v2stream, id Client
 	c.fw.send(out)
 }
 
-// streamRemap is the v2 counterpart of handleRemap. The remap
-// challenge payload stays JSON: the key-update path is cold and the
-// helper-data structure is deeply nested.
+// streamRemap runs one key-update transaction. The remap challenge
+// payload is JSON: the key-update path is cold and the helper-data
+// structure is deeply nested.
 func (c *v2conn) streamRemap(ctx context.Context, st *v2stream, id ClientID) {
 	req, err := c.ws.backend.BeginRemapTx(ctx, id)
 	if err != nil {
@@ -346,22 +347,9 @@ func (c *v2conn) streamRemap(ctx context.Context, st *v2stream, id ClientID) {
 	c.fw.send(out)
 }
 
-// sendErrV2 reports a typed failure on one stream, carrying the same
-// taxonomy fields as the v1 error message.
+// sendErrV2 reports a typed failure on one stream.
 func (c *v2conn) sendErrV2(stream uint32, err error) {
-	code := string(CodeOf(err))
-	client := ""
-	msg := err.Error()
-	var ae *AuthError
-	if errors.As(err, &ae) {
-		client = string(ae.ClientID)
-		if ae.Err != nil {
-			// Send the cause text: the receiving side re-wraps it in
-			// an AuthError, which re-attaches the structured suffix.
-			msg = ae.Err.Error()
-		}
-	}
 	b := wire.GetBuf()
-	b.B = wire.AppendError(b.B[:0], stream, code, client, msg)
+	b.B = appendErrorFrame(b.B[:0], stream, err)
 	c.fw.send(b)
 }

@@ -15,15 +15,14 @@ import (
 	"repro/internal/wire"
 )
 
-// TestResilientV2SurvivesDrops is the v1 drop-survival test on the
-// binary framing: the retry classification must behave identically —
-// transport loss redials, verdicts never retry.
+// TestResilientV2SurvivesDrops pins the retry classification under
+// connection drops: transport loss redials, verdicts never retry.
 func TestResilientV2SurvivesDrops(t *testing.T) {
 	srv, resp := wireFixture(t, 680, 700)
 	addr, stop := startWireFaulty(t, NewWireServer(srv), fault.ConnPlan{DropProb: 0.1, Seed: 4321})
 	defer stop()
 
-	rc, err := DialResilientProto(ctx, addr, fastPolicy(), ProtoV2)
+	rc, err := DialResilient(ctx, addr, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +41,15 @@ func TestResilientV2SurvivesDrops(t *testing.T) {
 	}
 }
 
-// TestResilientV2RemapSurvivesDrops mirrors the v1 remap chaos test
-// on the binary framing.
+// TestResilientV2RemapSurvivesDrops runs key updates, each followed
+// by an authentication under the new key, while the wire drops
+// connections.
 func TestResilientV2RemapSurvivesDrops(t *testing.T) {
 	srv, resp := wireFixture(t, 680, 700)
 	addr, stop := startWireFaulty(t, NewWireServer(srv), fault.ConnPlan{DropProb: 0.15, Seed: 77})
 	defer stop()
 
-	rc, err := DialResilientProto(ctx, addr, fastPolicy(), ProtoV2)
+	rc, err := DialResilient(ctx, addr, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestResilientV2PipelinedUnderDrops(t *testing.T) {
 	addr, stop := startWireFaulty(t, NewWireServer(srv), fault.ConnPlan{DropProb: 0.05, Seed: 2025})
 	defer stop()
 
-	rc, err := DialResilientProto(ctx, addr, fastPolicy(), ProtoV2)
+	rc, err := DialResilient(ctx, addr, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +110,15 @@ func TestResilientV2PipelinedUnderDrops(t *testing.T) {
 	}
 }
 
-// TestWireV2CanceledContextLeavesConnUsable pins the v2 improvement
-// over v1's deadline-poisoned connection: a canceled transaction
-// reports CodeCanceled and later transactions on the same client
-// still work.
+// TestWireV2CanceledContextLeavesConnUsable pins that a canceled
+// transaction only abandons its stream: it reports CodeCanceled and
+// later transactions on the same client still work.
 func TestWireV2CanceledContextLeavesConnUsable(t *testing.T) {
 	srv, resp := wireFixture(t, 680, 700)
 	addr, stop := startWire(t, srv)
 	defer stop()
 
-	wc, err := DialV2(ctx, addr)
+	wc, err := Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +134,9 @@ func TestWireV2CanceledContextLeavesConnUsable(t *testing.T) {
 	}
 }
 
-// startWireProto spins up a wire server with an explicit protocol
-// selection on a random localhost port.
-func startWireProto(t *testing.T, srv *Server, cfg WireConfig) (addr string, stop func()) {
+// startWireConfig spins up a wire server with explicit limits on a
+// random localhost port.
+func startWireConfig(t *testing.T, srv *Server, cfg WireConfig) (addr string, stop func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -163,7 +162,7 @@ func TestWireV2AuthenticateEndToEnd(t *testing.T) {
 	addr, stop := startWire(t, srv)
 	defer stop()
 
-	wc, err := DialV2(ctx, addr)
+	wc, err := Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestWireV2RemapEndToEnd(t *testing.T) {
 	addr, stop := startWire(t, srv)
 	defer stop()
 
-	wc, err := DialV2(ctx, addr)
+	wc, err := Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestWireV2UnknownClientTypedError(t *testing.T) {
 	addr, stop := startWire(t, srv)
 	defer stop()
 
-	wc, err := DialV2(ctx, addr)
+	wc, err := Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +242,7 @@ func TestWireV2Pipelined(t *testing.T) {
 	addr, stop := startWire(t, srv)
 	defer stop()
 
-	wc, err := DialV2(ctx, addr)
+	wc, err := Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +274,27 @@ func TestWireV2Pipelined(t *testing.T) {
 	}
 }
 
-// TestWireNegotiationMatrix pins every client/server framing pairing.
+// TestWireNegotiationMatrix pins how the server treats each kind of
+// connection opener: the preamble gets served, and anything else —
+// including the newline-JSON opener of the retired v1 framing — gets
+// a hang-up without a reply.
 func TestWireNegotiationMatrix(t *testing.T) {
-	shortIdle := 200 * time.Millisecond
+	// expectHangup fails unless the server closes conn without
+	// writing a single byte.
+	expectHangup := func(t *testing.T, conn net.Conn) {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 1))
+		if n > 0 {
+			t.Fatal("server answered an opener it cannot frame instead of hanging up")
+		}
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("server kept the connection open")
+		}
+	}
 
-	t.Run("v1-client-auto-server", func(t *testing.T) {
+	t.Run("v2-client-v2-server", func(t *testing.T) {
 		srv, resp := wireFixture(t, 680, 700)
 		addr, stop := startWire(t, srv)
 		defer stop()
@@ -289,73 +304,23 @@ func TestWireNegotiationMatrix(t *testing.T) {
 		}
 		defer wc.Close()
 		if ok, err := wc.Authenticate(ctx, resp); err != nil || !ok {
-			t.Fatalf("v1 on auto server: ok=%v err=%v", ok, err)
-		}
-	})
-
-	t.Run("v2-client-auto-server", func(t *testing.T) {
-		srv, resp := wireFixture(t, 680, 700)
-		addr, stop := startWire(t, srv)
-		defer stop()
-		wc, err := DialV2(ctx, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer wc.Close()
-		if ok, err := wc.Authenticate(ctx, resp); err != nil || !ok {
-			t.Fatalf("v2 on auto server: ok=%v err=%v", ok, err)
-		}
-	})
-
-	t.Run("v2-client-v2-server", func(t *testing.T) {
-		srv, resp := wireFixture(t, 680, 700)
-		addr, stop := startWireProto(t, srv, WireConfig{Proto: ProtoV2})
-		defer stop()
-		wc, err := DialV2(ctx, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer wc.Close()
-		if ok, err := wc.Authenticate(ctx, resp); err != nil || !ok {
-			t.Fatalf("v2 on v2-only server: ok=%v err=%v", ok, err)
+			t.Fatalf("preamble client: ok=%v err=%v", ok, err)
 		}
 	})
 
 	t.Run("v1-client-v2-server", func(t *testing.T) {
-		srv, resp := wireFixture(t, 680, 700)
-		addr, stop := startWireProto(t, srv, WireConfig{Proto: ProtoV2})
+		srv, _ := wireFixture(t, 680)
+		addr, stop := startWire(t, srv)
 		defer stop()
-		wc, err := Dial(ctx, addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer wc.Close()
-		// The v2-only server answers one typed v1 error and hangs up.
-		_, err = wc.Authenticate(ctx, resp)
-		if CodeOf(err) != CodeInvalidRequest {
-			t.Fatalf("v1 on v2-only server: err=%v, want CodeInvalidRequest", err)
-		}
-	})
-
-	t.Run("v2-client-v1-server", func(t *testing.T) {
-		srv, resp := wireFixture(t, 680, 700)
-		addr, stop := startWireProto(t, srv, WireConfig{Proto: ProtoV1, IdleTimeout: shortIdle})
-		defer stop()
-		wc, err := DialV2(ctx, addr)
-		if err != nil {
+		defer conn.Close()
+		if _, err := conn.Write([]byte("{\"type\":\"authenticate\",\"client_id\":\"tcp-dev\"}\n")); err != nil {
 			t.Fatal(err)
 		}
-		defer wc.Close()
-		// The v1-only server cannot parse binary frames and drops the
-		// connection (at latest at its idle deadline); the client must
-		// surface a retryable transport failure, not hang or panic.
-		_, err = wc.Authenticate(ctx, resp)
-		if err == nil {
-			t.Fatal("v2 client on v1-only server unexpectedly succeeded")
-		}
-		if !Retryable(err) {
-			t.Fatalf("v2-on-v1 failure %v must be retryable (transport, not verdict)", err)
-		}
+		expectHangup(t, conn)
 	})
 
 	t.Run("garbage-preamble", func(t *testing.T) {
@@ -367,15 +332,11 @@ func TestWireNegotiationMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		// Starts with the v2 magic but is not the preamble: the server
-		// can answer in no known framing and must hang up.
+		// Starts with the frame magic but is not the preamble.
 		if _, err := conn.Write([]byte{0xA7, 'X', 'Y', 'Z'}); err != nil {
 			t.Fatal(err)
 		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Read(make([]byte, 1)); err == nil {
-			t.Fatal("server answered a garbage preamble instead of hanging up")
-		}
+		expectHangup(t, conn)
 	})
 }
 
@@ -493,7 +454,7 @@ func TestWireV2OutOfOrderCompletion(t *testing.T) {
 // and the streams under the cap keep working.
 func TestWireV2StreamCapSheds(t *testing.T) {
 	srv, resp := wireFixture(t, 680, 700)
-	addr, stop := startWireProto(t, srv, WireConfig{MaxStreamsPerConn: 1})
+	addr, stop := startWireConfig(t, srv, WireConfig{MaxStreamsPerConn: 1})
 	defer stop()
 
 	conn, err := net.Dial("tcp", addr)

@@ -121,8 +121,7 @@ type Verdict struct {
 	RemapAdvised bool
 	// HasConfirm distinguishes an absent tag from a zero tag.
 	HasConfirm bool
-	// Confirm is HMAC(sessionKey, confirm label), raw bytes (the v1
-	// JSON framing hex-encoded the same value).
+	// Confirm is HMAC(sessionKey, confirm label), raw bytes.
 	Confirm [32]byte
 }
 

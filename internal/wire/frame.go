@@ -1,17 +1,15 @@
 // Package wire is the versioned binary framing of the Authenticache
-// TCP transport (protocol v2). It owns exactly the codec layer: frame
-// headers, opcode payload encodings, and the pooled buffers that make
-// the challenge/response/verdict path allocation-free. Connection
+// TCP transport (framing version 2). It owns exactly the codec layer:
+// frame headers, opcode payload encodings, and the pooled buffers that
+// make the challenge/response/verdict path allocation-free. Connection
 // state machines (demultiplexing, per-stream transactions, retries)
 // live in internal/auth; this package never touches a socket beyond
 // reading and writing bytes.
 //
-// A v2 connection opens with a 4-byte preamble and then carries
-// frames, each a fixed 11-byte header followed by the payload:
+// A connection opens with a 4-byte preamble and then carries frames,
+// each a fixed 11-byte header followed by the payload:
 //
-//	offset 0   magic     0xA7 (never a legal first byte of JSON,
-//	                     so a server can sniff v2 against the
-//	                     newline-JSON v1 framing)
+//	offset 0   magic     0xA7
 //	offset 1   version   0x02
 //	offset 2-5 stream id uint32, big endian
 //	offset 6   opcode    one of the Op* constants
@@ -19,7 +17,7 @@
 //
 // Frames of different streams interleave freely; within one stream
 // frames are ordered. There is no frame checksum: TCP already
-// provides integrity, exactly as the v1 JSON framing assumed.
+// provides integrity.
 package wire
 
 import (
@@ -30,10 +28,10 @@ import (
 	"io"
 )
 
-// Opcode discriminates frame payloads. The values mirror the v1 JSON
-// "type" strings one for one and are pinned by the opcode table in
-// docs/PROTOCOL.md (cross-checked by the authlint recordtable
-// analyzer — drift between these constants and the doc fails lint).
+// Opcode discriminates frame payloads. The values are pinned by the
+// opcode table in docs/PROTOCOL.md (cross-checked by the authlint
+// recordtable analyzer — drift between these constants and the doc
+// fails lint).
 type Opcode uint8
 
 //lint:recordtable ../../docs/PROTOCOL.md#framing-v2-opcode-table type=Opcode prefix=Op
@@ -91,7 +89,7 @@ const (
 	OpHealth Opcode = 18
 )
 
-// String names the opcode as the v1 protocol spelled it.
+// String names the opcode as docs/PROTOCOL.md spells it.
 func (op Opcode) String() string {
 	switch op {
 	case OpAuthenticate:

@@ -21,7 +21,7 @@ raw="$(go test -run '^$' -bench BenchmarkWireTxPerConn \
 printf '%s\n' "$raw"
 
 # Each bench line looks like:
-#   BenchmarkWireTxPerConn/local/v1/depth=1  1000  178467 ns/op  5603 tx/s
+#   BenchmarkWireTxPerConn/local/v2/depth=1  1000  105263 ns/op  9500 tx/s
 printf '%s\n' "$raw" | awk -v iters="$iters" '
 /^BenchmarkWireTxPerConn\// {
 	sub(/^BenchmarkWireTxPerConn\//, "", $1)
