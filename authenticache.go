@@ -135,9 +135,9 @@ type WireClient = auth.WireClient
 func NewWireServer(s *Server) *WireServer { return auth.NewWireServer(s) }
 
 // WireConfig tunes the wire server's hardening limits and overload
-// shedding (frame size cap, per-conn transaction cap, idle timeout,
-// in-flight transaction cap, connection cap, per-conn stream cap).
-// The zero value keeps the defaults with shedding disabled.
+// shedding (frame size cap, idle timeout, in-flight transaction cap,
+// connection cap, per-conn stream cap). The zero value keeps the
+// defaults with shedding disabled.
 type WireConfig = auth.WireConfig
 
 // NewWireServerConfig wraps a Server for TCP serving with explicit

@@ -5,19 +5,36 @@ import (
 
 	"repro/internal/crp"
 	"repro/internal/errormap"
-	"repro/internal/mapkey"
 )
 
+// Issuance runs in three steps, each under the client's record lock:
+//
+//   - draw: fresh logical pairs and their physical images; nothing is
+//     consumed (drawLocked);
+//   - burn: consume the physical pairs in the no-reuse registry,
+//     journal the burn, then assign the challenge id and advance the
+//     counters (burnLocked);
+//   - install: precompute the expected response on the logical planes
+//     and hold the challenge pending (installLocked).
+//
+// A local issue runs all three. Delegated issuance (delegate.go) runs
+// the same steps on two machines: the follower draws, the primary
+// burns, the follower installs. The no-reuse invariant — no pair is
+// ever issued twice — therefore lives in one draw and one burn.
+
 // authVoltagesLocked lists the client's planes usable for ordinary
-// challenges. Callers hold rec.mu.
-func authVoltagesLocked(rec *clientRecord) []int {
+// challenges, refusing a client that has none. Callers hold rec.mu.
+func authVoltagesLocked(id ClientID, rec *clientRecord) ([]int, error) {
 	var out []int
 	for _, v := range rec.physMap.Voltages() {
 		if !rec.reserved[v] {
 			out = append(out, v)
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil, authErrf(CodeInvalidRequest, id, "auth: no non-reserved voltage planes enrolled")
+	}
+	return out, nil
 }
 
 // logicalFieldLocked returns (building and caching as needed) the distance
@@ -31,8 +48,7 @@ func logicalFieldLocked(id ClientID, rec *clientRecord, vddMV int) (*errormap.Di
 	if phys == nil {
 		return nil, authErrf(CodeBadPlane, id, "%w: %d mV", ErrBadPlane, vddMV)
 	}
-	logical := LogicalPlane(phys, rec.key, vddMV)
-	f := logical.DistanceTransform()
+	f := permutePlane(phys, rec.permLocked(vddMV)).DistanceTransform()
 	rec.logicalFields[vddMV] = f
 	return f, nil
 }
@@ -51,12 +67,11 @@ func (s *Server) IssueChallenge(ctx context.Context, id ClientID) (*crp.Challeng
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	vs := authVoltagesLocked(rec)
-	if len(vs) == 0 {
-		return nil, authErrf(CodeInvalidRequest, id, "auth: no non-reserved voltage planes enrolled")
+	vs, err := authVoltagesLocked(id, rec)
+	if err != nil {
+		return nil, err
 	}
-	vdd := vs[s.randIntn(len(vs))]
-	return s.issueAtLocked(id, rec, vdd)
+	return s.issueLocked(id, rec, s.singleVdd(vs[s.randIntn(len(vs))]))
 }
 
 // IssueChallengeAt issues at a specific enrolled, non-reserved
@@ -74,7 +89,7 @@ func (s *Server) IssueChallengeAt(ctx context.Context, id ClientID, vddMV int) (
 	if rec.reserved[vddMV] {
 		return nil, authErrf(CodeInvalidRequest, id, "auth: %d mV is reserved for key updates", vddMV)
 	}
-	return s.issueAtLocked(id, rec, vddMV)
+	return s.issueLocked(id, rec, s.singleVdd(vddMV))
 }
 
 // IssueChallengeMulti issues a challenge whose bits are spread evenly
@@ -93,69 +108,77 @@ func (s *Server) IssueChallengeMulti(ctx context.Context, id ClientID) (*crp.Cha
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	vs := authVoltagesLocked(rec)
-	if len(vs) == 0 {
-		return nil, authErrf(CodeInvalidRequest, id, "auth: no non-reserved voltage planes enrolled")
+	vs, err := authVoltagesLocked(id, rec)
+	if err != nil {
+		return nil, err
 	}
 	vdds := make([]int, s.cfg.ChallengeBits)
 	for i := range vdds {
 		vdds[i] = vs[i%len(vs)]
 	}
-	return s.issueWithVddsLocked(id, rec, vdds)
+	return s.issueLocked(id, rec, vdds)
 }
 
-// issueAtLocked issues a single-voltage challenge. Callers hold rec.mu.
-func (s *Server) issueAtLocked(id ClientID, rec *clientRecord, vddMV int) (*crp.Challenge, error) {
+// singleVdd lays out a single-voltage challenge: every bit at vddMV.
+func (s *Server) singleVdd(vddMV int) []int {
 	vdds := make([]int, s.cfg.ChallengeBits)
 	for i := range vdds {
 		vdds[i] = vddMV
 	}
-	return s.issueWithVddsLocked(id, rec, vdds)
+	return vdds
 }
 
-// issueWithVddsLocked generates one challenge whose bit i runs at vdds[i].
-// Permutations and distance fields are resolved per distinct voltage
-// from the record's key-scoped caches. Callers hold rec.mu.
-func (s *Server) issueWithVddsLocked(id ClientID, rec *clientRecord, vdds []int) (*crp.Challenge, error) {
-	g := rec.physMap.Geometry()
-	fields := map[int]*errormap.DistanceField{}
-	perms := map[int]*mapkey.Permutation{}
+// issueLocked issues one challenge whose bit i runs at vdds[i]: draw,
+// burn, install. Callers hold rec.mu.
+func (s *Server) issueLocked(id ClientID, rec *clientRecord, vdds []int) (*crp.Challenge, error) {
+	// Build the fields install reads before the draw, so an unenrolled
+	// plane is refused before anything is drawn or burned.
 	for _, v := range vdds {
-		if _, ok := fields[v]; ok {
-			continue
-		}
-		field, err := logicalFieldLocked(id, rec, v)
-		if err != nil {
+		if _, err := logicalFieldLocked(id, rec, v); err != nil {
 			return nil, err
 		}
-		fields[v] = field
-		perms[v] = rec.permLocked(v)
 	}
+	logical, phys, err := s.drawLocked(id, rec, vdds)
+	if err != nil {
+		return nil, err
+	}
+	chID, err := s.burnLocked(id, rec, phys)
+	if err != nil {
+		return nil, err
+	}
+	ch := &crp.Challenge{ID: chID, Bits: logical}
+	installLocked(rec, ch)
+	return cloneChallenge(ch), nil
+}
 
-	ch := &crp.Challenge{ID: rec.nextID, Bits: make([]crp.PairBit, len(vdds))}
-	physBits := make([]crp.PairBit, len(vdds))
-	// physKeys mirrors physBits as canonical fingerprints so the
+// drawLocked draws one pair per entry of vdds, at that voltage: the
+// logical pair for the client and its physical image for the registry.
+// No physical pair is one the registry holds or one drawn earlier in
+// the same challenge. Nothing is consumed. Callers hold rec.mu.
+func (s *Server) drawLocked(id ClientID, rec *clientRecord, vdds []int) (logical, phys []crp.PairBit, err error) {
+	lines := rec.physMap.Geometry().Lines
+	logical = make([]crp.PairBit, len(vdds))
+	phys = make([]crp.PairBit, len(vdds))
+	// physKeys mirrors phys as canonical fingerprints so the
 	// within-challenge duplicate scan is a word compare, not a struct
 	// compare — this loop is on the wire protocol's hot path.
 	physKeys := make([]uint64, len(vdds))
 	const maxRetries = 64
-	for i := range ch.Bits {
-		vdd := vdds[i]
-		perm := perms[vdd]
+	for i, vdd := range vdds {
+		perm := rec.permLocked(vdd)
 		ok := false
 		for attempt := 0; attempt < maxRetries; attempt++ {
-			a, b := s.randIntn2(g.Lines)
+			a, b := s.randIntn2(lines)
 			if a == b {
 				continue
 			}
 			// The registry is canonical over *physical* pairs so that
 			// key rotation cannot resurrect consumed challenges.
-			pa, pb := perm.Unmap(a), perm.Unmap(b)
-			phys := crp.PairBit{A: pa, B: pb, VddMV: vdd}
-			if rec.registry.IsUsed(phys) {
+			p := crp.PairBit{A: perm.Unmap(a), B: perm.Unmap(b), VddMV: vdd}
+			if rec.registry.IsUsed(p) {
 				continue
 			}
-			key := pairFingerprint(phys)
+			key := pairFingerprint(p)
 			dup := false
 			for j := 0; j < i; j++ {
 				if physKeys[j] == key {
@@ -166,18 +189,25 @@ func (s *Server) issueWithVddsLocked(id ClientID, rec *clientRecord, vdds []int)
 			if dup {
 				continue
 			}
-			ch.Bits[i] = crp.PairBit{A: a, B: b, VddMV: vdd}
-			physBits[i] = phys
+			logical[i] = crp.PairBit{A: a, B: b, VddMV: vdd}
+			phys[i] = p
 			physKeys[i] = key
 			ok = true
 			break
 		}
 		if !ok {
-			return nil, authErr(CodeExhausted, id, ErrExhausted)
+			return nil, nil, authErr(CodeExhausted, id, ErrExhausted)
 		}
 	}
-	if !rec.registry.Consume(&crp.Challenge{Bits: physBits}) {
-		return nil, authErr(CodeExhausted, id, ErrExhausted)
+	return logical, phys, nil
+}
+
+// burnLocked consumes phys in the no-reuse registry, journals the
+// burn, and assigns the challenge id, advancing the challenge counter
+// and the per-key CRP count. Callers hold rec.mu.
+func (s *Server) burnLocked(id ClientID, rec *clientRecord, phys []crp.PairBit) (uint64, error) {
+	if !rec.registry.Consume(&crp.Challenge{Bits: phys}) {
+		return 0, authErr(CodeExhausted, id, ErrExhausted)
 	}
 	if s.journal != nil {
 		// Journal before the challenge can leave the server; the
@@ -185,21 +215,31 @@ func (s *Server) issueWithVddsLocked(id ClientID, rec *clientRecord, vdds []int)
 		// amortises the sync across concurrent issues). On failure the
 		// pairs stay burned in memory — the conservative direction:
 		// no challenge was issued, so nothing replayable exists.
-		err := s.journal.JournalBurn(string(id), physBits, rec.nextID+1, rec.crpsSinceRemap+len(ch.Bits))
+		err := s.journal.JournalBurn(string(id), phys, rec.nextID+1, rec.crpsSinceRemap+len(phys))
 		if err != nil {
-			return nil, unavailableErr(id, err)
+			return 0, unavailableErr(id, err)
 		}
 	}
+	chID := rec.nextID
+	rec.nextID++
+	rec.crpsSinceRemap += len(phys)
+	s.stats.issued.Add(1)
+	return chID, nil
+}
 
-	// Precompute the expected response on the logical planes. A
-	// last-voltage memo skips the map lookup on the common
+// installLocked precomputes ch's expected response on the logical
+// planes and holds ch pending for verification. The caller has built
+// the field of every voltage ch uses (logicalFieldLocked). Callers
+// hold rec.mu.
+func installLocked(rec *clientRecord, ch *crp.Challenge) {
+	// A last-voltage memo skips the map lookup on the common
 	// single-voltage challenge.
 	expected := crp.NewResponse(len(ch.Bits))
 	var field *errormap.DistanceField
 	lastVdd := -1
 	for i, b := range ch.Bits {
 		if b.VddMV != lastVdd {
-			field = fields[b.VddMV]
+			field = rec.logicalFields[b.VddMV]
 			lastVdd = b.VddMV
 		}
 		da, fa := field.DistLine(b.A), field != nil
@@ -207,10 +247,6 @@ func (s *Server) issueWithVddsLocked(id ClientID, rec *clientRecord, vdds []int)
 		expected.SetBit(i, crp.ResponseBit(da, fa, db, fb))
 	}
 	rec.pending[ch.ID] = pendingChallenge{ch: ch, expected: expected}
-	rec.nextID++
-	rec.crpsSinceRemap += len(ch.Bits)
-	s.stats.issued.Add(1)
-	return cloneChallenge(ch), nil
 }
 
 // NeedsRemap reports whether the client has consumed its CRP budget

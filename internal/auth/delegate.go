@@ -5,15 +5,15 @@ import (
 	"hash/fnv"
 
 	"repro/internal/crp"
-	"repro/internal/errormap"
 )
 
-// Delegated challenge issuance is the follower read-scaling protocol:
-// a follower samples a challenge against its replicated state without
-// consuming anything, the primary validates the sample, burns the
-// pairs in the authoritative registry and journals the burn (which
-// then replicates back), and the follower installs the pending
-// challenge under the primary-assigned id. The expensive work — pair
+// Delegated challenge issuance is the follower read-scaling protocol,
+// the local issue's draw, burn and install steps (challenge.go) split
+// across machines: a follower draws a challenge against its replicated
+// state without consuming anything, the primary validates the sample
+// and burns it (consume, journal — the record then replicates back —
+// and assign the id), and the follower installs the pending challenge
+// under the primary-assigned id. The expensive work — pair
 // sampling, logical-field distance transforms, expected-response
 // HMACs, and the eventual verification — all runs on the follower;
 // the primary's share is a short critical section plus one journaled
@@ -46,9 +46,9 @@ func keySumLocked(rec *clientRecord) uint64 {
 
 // SampleChallenge draws the pairs of a single-voltage challenge
 // without consuming, journaling, or installing anything: the
-// follower's half of delegated issuance. The sample avoids pairs the
-// local registry replica already saw, so proposals rarely conflict on
-// the primary.
+// follower's half of delegated issuance, the draw step alone. The
+// sample avoids pairs the local registry replica already saw, so
+// proposals rarely conflict on the primary.
 func (s *Server) SampleChallenge(ctx context.Context, id ClientID) (*DelegatedProposal, error) {
 	if err := ctxErr(ctx, id); err != nil {
 		return nil, err
@@ -59,63 +59,22 @@ func (s *Server) SampleChallenge(ctx context.Context, id ClientID) (*DelegatedPr
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	vs := authVoltagesLocked(rec)
-	if len(vs) == 0 {
-		return nil, authErrf(CodeInvalidRequest, id, "auth: no non-reserved voltage planes enrolled")
+	vs, err := authVoltagesLocked(id, rec)
+	if err != nil {
+		return nil, err
 	}
-	vdd := vs[s.randIntn(len(vs))]
-	perm := rec.permLocked(vdd)
-	g := rec.physMap.Geometry()
-
-	n := s.cfg.ChallengeBits
-	prop := &DelegatedProposal{
-		Logical: make([]crp.PairBit, n),
-		Phys:    make([]crp.PairBit, n),
-		KeySum:  keySumLocked(rec),
+	logical, phys, err := s.drawLocked(id, rec, s.singleVdd(vs[s.randIntn(len(vs))]))
+	if err != nil {
+		return nil, err
 	}
-	physKeys := make([]uint64, n)
-	const maxRetries = 64
-	for i := 0; i < n; i++ {
-		ok := false
-		for attempt := 0; attempt < maxRetries; attempt++ {
-			a, b := s.randIntn2(g.Lines)
-			if a == b {
-				continue
-			}
-			pa, pb := perm.Unmap(a), perm.Unmap(b)
-			phys := crp.PairBit{A: pa, B: pb, VddMV: vdd}
-			if rec.registry.IsUsed(phys) {
-				continue
-			}
-			key := pairFingerprint(phys)
-			dup := false
-			for j := 0; j < i; j++ {
-				if physKeys[j] == key {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			prop.Logical[i] = crp.PairBit{A: a, B: b, VddMV: vdd}
-			prop.Phys[i] = phys
-			physKeys[i] = key
-			ok = true
-			break
-		}
-		if !ok {
-			return nil, authErr(CodeExhausted, id, ErrExhausted)
-		}
-	}
-	return prop, nil
+	return &DelegatedProposal{Logical: logical, Phys: phys, KeySum: keySumLocked(rec)}, nil
 }
 
 // ApproveBurn is the primary's half of delegated issuance: validate a
-// proposal against the authoritative registry and key, consume its
-// pairs, journal the burn, and assign the challenge id. The burn
-// record replicates to every follower through the ordinary log
-// stream, converging their registry replicas.
+// proposal against the authoritative registry and key, then run the
+// burn step — consume its pairs, journal the burn, and assign the
+// challenge id. The burn record replicates to every follower through
+// the ordinary log stream, converging their registry replicas.
 func (s *Server) ApproveBurn(ctx context.Context, id ClientID, phys []crp.PairBit, keySum uint64) (uint64, error) {
 	if err := ctxErr(ctx, id); err != nil {
 		return 0, err
@@ -142,31 +101,14 @@ func (s *Server) ApproveBurn(ctx context.Context, id ClientID, phys []crp.PairBi
 		}
 		seen[fp] = struct{}{}
 	}
-	if !rec.registry.Consume(&crp.Challenge{Bits: phys}) {
-		return 0, authErr(CodeExhausted, id, ErrExhausted)
-	}
-	if s.journal != nil {
-		// Same discipline as issueWithVddsLocked: journal before the
-		// grant can leave the server; on failure the pairs stay burned
-		// in memory (nothing replayable was issued).
-		err := s.journal.JournalBurn(string(id), phys, rec.nextID+1, rec.crpsSinceRemap+len(phys))
-		if err != nil {
-			return 0, unavailableErr(id, err)
-		}
-	}
-	chID := rec.nextID
-	rec.nextID++
-	rec.crpsSinceRemap += len(phys)
-	s.stats.issued.Add(1)
-	return chID, nil
+	return s.burnLocked(id, rec, phys)
 }
 
 // CommitDelegated is the follower's closing half: after the primary
-// granted challengeID for prop, mark the pairs in the local replica,
-// precompute the expected response on the local logical planes, and
-// install the pending challenge so verification runs entirely on the
-// follower. The replicated burn record arriving later re-marks the
-// same pairs idempotently.
+// granted challengeID for prop, mark the pairs and counters the grant
+// moved in the local replica, then run the install step so
+// verification runs entirely on the follower. The replicated burn
+// record arriving later re-marks the same pairs idempotently.
 func (s *Server) CommitDelegated(ctx context.Context, id ClientID, challengeID uint64, prop *DelegatedProposal) (*crp.Challenge, error) {
 	if err := ctxErr(ctx, id); err != nil {
 		return nil, err
@@ -180,28 +122,17 @@ func (s *Server) CommitDelegated(ctx context.Context, id ClientID, challengeID u
 	if keySumLocked(rec) != prop.KeySum {
 		return nil, authErrf(CodeInvalidRequest, id, "auth: key rotated between sample and grant")
 	}
-	rec.registry.Mark(prop.Phys)
-	ch := &crp.Challenge{ID: challengeID, Bits: prop.Logical}
-	expected := crp.NewResponse(len(ch.Bits))
-	var field *errormap.DistanceField
-	lastVdd := -1
-	for i, b := range ch.Bits {
-		if b.VddMV != lastVdd {
-			f, err := logicalFieldLocked(id, rec, b.VddMV)
-			if err != nil {
-				return nil, err
-			}
-			field = f
-			lastVdd = b.VddMV
+	for _, b := range prop.Logical {
+		if _, err := logicalFieldLocked(id, rec, b.VddMV); err != nil {
+			return nil, err
 		}
-		da, fa := field.DistLine(b.A), field != nil
-		db, fb := field.DistLine(b.B), field != nil
-		expected.SetBit(i, crp.ResponseBit(da, fa, db, fb))
 	}
-	rec.pending[ch.ID] = pendingChallenge{ch: ch, expected: expected}
+	rec.registry.Mark(prop.Phys)
 	if challengeID >= rec.nextID {
 		rec.nextID = challengeID + 1
 	}
-	rec.crpsSinceRemap += len(ch.Bits)
+	rec.crpsSinceRemap += len(prop.Logical)
+	ch := &crp.Challenge{ID: challengeID, Bits: prop.Logical}
+	installLocked(rec, ch)
 	return cloneChallenge(ch), nil
 }

@@ -74,34 +74,27 @@ func (ws *WireServer) healthReport() wire.Health {
 // forwarded transactions use, and a hung or dead peer fails the probe
 // exactly as it would fail a forward. ctx bounds the wait.
 func (rc *RelayClient) Probe(ctx context.Context) (PeerHealth, time.Duration, error) {
-	if err := ctxErr(ctx, ""); err != nil {
-		return PeerHealth{}, 0, err
-	}
-	stream, ch, err := rc.c2.openStream()
+	st, err := rc.c2.openStream(ctx, "")
 	if err != nil {
 		return PeerHealth{}, 0, err
 	}
-	defer rc.c2.closeStream(stream)
+	defer st.close()
 	start := time.Now()
 	out := wire.GetBuf()
-	out.B = wire.AppendProbe(out.B[:0], stream)
-	if !rc.c2.fw.send(out) {
-		return PeerHealth{}, 0, rc.c2.connLost()
-	}
-	b, err := rc.c2.recv(ctx, ch)
-	if err != nil {
-		return PeerHealth{}, 0, err
-	}
-	h, err := expectHealth(b)
+	out.B = wire.AppendProbe(out.B[:0], st.id)
+	h, err := expectHealth(st.exchange(ctx, out))
 	if err != nil {
 		return PeerHealth{}, 0, err
 	}
 	return h, time.Since(start), nil
 }
 
-// expectHealth decodes a health frame, passing error frames through
-// as typed errors. It consumes b.
-func expectHealth(b *wire.Buf) (PeerHealth, error) {
+// expectHealth decodes a health frame; error semantics as
+// expectChallenge. It consumes b.
+func expectHealth(b *wire.Buf, err error) (PeerHealth, error) {
+	if err != nil {
+		return PeerHealth{}, err
+	}
 	defer wire.PutBuf(b)
 	switch b.Op {
 	case wire.OpError:

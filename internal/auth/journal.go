@@ -23,11 +23,12 @@ import (
 //
 // Failure semantics: the in-memory mutation is applied first, the
 // journal written second, both under the record lock. If the journal
-// write fails the operation returns CodeInternal and the in-memory
-// state keeps the mutation — for burns that is the conservative
-// direction (pairs die without a challenge ever leaving the server;
-// nothing replayable exists), and for enrollments the record is
-// backed out. The reverse order would risk a journaled mutation that
+// write fails the operation returns a retryable CodeUnavailable
+// (unavailableErr: errors.Is(err, ErrUnavailable) holds) and the
+// in-memory state keeps the mutation — for burns that is the
+// conservative direction (pairs die without a challenge ever leaving
+// the server; nothing replayable exists), and for enrollments the
+// record is backed out. The reverse order would risk a journaled mutation that
 // never happened in memory, which replay would then invent.
 
 // Journal receives a durable record of every enrollment-database

@@ -8,13 +8,24 @@ import (
 	"repro/internal/mapkey"
 )
 
-// captureJournal records burned pairs; the other mutations are
-// irrelevant here.
-type captureJournal struct{ pairs []crp.PairBit }
+// captureJournal records burned pairs, all of them and per burn
+// record; the other mutations are irrelevant here.
+type captureJournal struct {
+	pairs []crp.PairBit
+	burns []capturedBurn
+}
+
+// capturedBurn is one JournalBurn call.
+type capturedBurn struct {
+	pairs          []crp.PairBit
+	nextID         uint64
+	crpsSinceRemap int
+}
 
 func (c *captureJournal) JournalEnroll(string, []byte, [32]byte, []int) error { return nil }
-func (c *captureJournal) JournalBurn(_ string, pairs []crp.PairBit, _ uint64, _ int) error {
+func (c *captureJournal) JournalBurn(_ string, pairs []crp.PairBit, nextID uint64, crpsSinceRemap int) error {
 	c.pairs = append(c.pairs, pairs...)
+	c.burns = append(c.burns, capturedBurn{append([]crp.PairBit(nil), pairs...), nextID, crpsSinceRemap})
 	return nil
 }
 func (c *captureJournal) JournalRemap(string, [32]byte) error { return nil }

@@ -437,10 +437,10 @@ func TestWireConfigValidate(t *testing.T) {
 	}
 	bad := []WireConfig{
 		{MaxMessageBytes: -1},
-		{MaxTransactionsPerConn: -1},
 		{IdleTimeout: -time.Second},
 		{MaxInFlight: -1},
 		{MaxConns: -1},
+		{MaxStreamsPerConn: -1},
 	}
 	for _, cfg := range bad {
 		if _, err := NewWireServerConfig(nil, cfg); err == nil {

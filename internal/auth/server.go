@@ -204,9 +204,14 @@ func (s *Server) ChallengeCount() uint64 {
 // layout used on the wire. Exported because the client device applies
 // the inverse of the same permutation.
 func LogicalPlane(phys *errormap.Plane, key mapkey.Key, vddMV int) *errormap.Plane {
-	g := phys.Geometry()
-	perm := mapkey.NewPermutation(mapkey.PlaneKey(key, vddMV), g.Lines)
-	logical := errormap.NewPlane(g)
+	return permutePlane(phys, mapkey.NewPermutation(mapkey.PlaneKey(key, vddMV), phys.Geometry().Lines))
+}
+
+// permutePlane moves every error of a physical plane to its logical
+// line under perm. The server passes the record's cached permutation,
+// so a key's round tables are built once per plane.
+func permutePlane(phys *errormap.Plane, perm *mapkey.Permutation) *errormap.Plane {
+	logical := errormap.NewPlane(phys.Geometry())
 	for _, e := range phys.Errors() {
 		logical.Set(perm.Map(e), true)
 	}

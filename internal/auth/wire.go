@@ -6,6 +6,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -15,18 +16,17 @@ import (
 )
 
 // Wire hardening defaults. A malicious peer must not be able to pin
-// server memory or goroutines: frames are size-capped, connections
-// are transaction-capped, and a peer that goes silent mid-transaction
-// is cut off by the idle deadline. Operators tune these through
-// WireConfig; the zero config keeps these values.
+// server memory or goroutines: frames are size-capped, a connection's
+// concurrently open streams are capped (which bounds its memory, not
+// how many transactions it runs over its lifetime), and a peer that
+// goes silent mid-transaction is cut off by the idle deadline.
+// Operators tune these through WireConfig; the zero config keeps
+// these values.
 const (
 	// defaultMaxWireMessageBytes bounds one frame payload. The largest
 	// legitimate payload is a remap challenge (~640 pair bits plus
 	// helper data), far under this cap.
 	defaultMaxWireMessageBytes = 1 << 20
-	// defaultMaxTransactionsPerConn bounds how many transactions a
-	// single connection may run before the server hangs up.
-	defaultMaxTransactionsPerConn = 1024
 	// defaultWireIdleTimeout cuts off peers that stall mid-transaction.
 	defaultWireIdleTimeout = 30 * time.Second
 	// defaultMaxStreamsPerConn bounds concurrently open streams on one
@@ -44,9 +44,6 @@ const (
 type WireConfig struct {
 	// MaxMessageBytes caps one frame payload. 0 means 1 MiB.
 	MaxMessageBytes int
-	// MaxTransactionsPerConn caps transactions per connection before
-	// the server hangs up. 0 means 1024.
-	MaxTransactionsPerConn int
 	// IdleTimeout cuts off peers that stall mid-transaction. 0 means
 	// 30 s.
 	IdleTimeout time.Duration
@@ -72,9 +69,6 @@ func (c WireConfig) withDefaults() WireConfig {
 	if c.MaxMessageBytes == 0 {
 		c.MaxMessageBytes = defaultMaxWireMessageBytes
 	}
-	if c.MaxTransactionsPerConn == 0 {
-		c.MaxTransactionsPerConn = defaultMaxTransactionsPerConn
-	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = defaultWireIdleTimeout
 	}
@@ -86,9 +80,8 @@ func (c WireConfig) withDefaults() WireConfig {
 
 // Validate rejects nonsensical limits (negative caps or timeout).
 func (c WireConfig) Validate() error {
-	if c.MaxMessageBytes < 0 || c.MaxTransactionsPerConn < 0 ||
-		c.IdleTimeout < 0 || c.MaxInFlight < 0 || c.MaxConns < 0 ||
-		c.MaxStreamsPerConn < 0 {
+	if c.MaxMessageBytes < 0 || c.IdleTimeout < 0 || c.MaxInFlight < 0 ||
+		c.MaxConns < 0 || c.MaxStreamsPerConn < 0 {
 		return authErrf(CodeInvalidRequest, "", "auth: wire config limits must be non-negative: %+v", c)
 	}
 	return nil
@@ -237,7 +230,7 @@ func (ws *WireServer) refuse(conn net.Conn) {
 	if !readPreamble(conn) {
 		return
 	}
-	frame := appendErrorFrame(nil, 0, authErrf(CodeUnavailable, "",
+	frame := AppendErrorFrame(nil, 0, authErrf(CodeUnavailable, "",
 		"%w: connection cap %d reached", ErrUnavailable, ws.cfg.MaxConns))
 	if _, err := conn.Write(frame); err != nil {
 		return
@@ -302,10 +295,12 @@ func (ws *WireServer) handle(ctx context.Context, conn net.Conn) {
 	ws.serveStreams(ctx, conn, br)
 }
 
-// appendErrorFrame appends the error frame reporting err on stream:
+// AppendErrorFrame appends the error frame reporting err on stream:
 // the stable code, the client it concerned, and the cause text. The
-// client rebuilds the same *AuthError from it (errorFromWire).
-func appendErrorFrame(dst []byte, stream uint32, err error) []byte {
+// receiver rebuilds the same *AuthError from its payload
+// (DecodeErrorFrame). The client port and the replication port both
+// use this pair.
+func AppendErrorFrame(dst []byte, stream uint32, err error) []byte {
 	client := ""
 	msg := err.Error()
 	var ae *AuthError
@@ -320,11 +315,24 @@ func appendErrorFrame(dst []byte, stream uint32, err error) []byte {
 	return wire.AppendError(dst, stream, string(CodeOf(err)), client, msg)
 }
 
-// WireClient is the client side of the TCP transport. It is safe for
-// concurrent use: each transaction runs on its own stream of the one
-// connection, so concurrent callers pipeline.
+// DecodeErrorFrame rebuilds the typed error an error frame's payload
+// carries, so errors.Is against the package sentinels holds as it
+// does in-process. derr reports a malformed payload, which each
+// caller classifies for its own port.
+func DecodeErrorFrame(payload []byte) (remote, derr error) {
+	code, client, msg, derr := wire.DecodeError(payload)
+	if derr != nil {
+		return nil, derr
+	}
+	return errorFromWire(ErrorCode(code), ClientID(client), msg), nil
+}
+
+// WireClient is the client side of the TCP transport: a RelayClient's
+// two transaction halves with the device answering in between. It is
+// safe for concurrent use: each transaction runs on its own stream of
+// the one connection, so concurrent callers pipeline.
 type WireClient struct {
-	c *clientV2
+	rc RelayClient
 }
 
 // Dial connects to a WireServer. ctx bounds the connection attempt
@@ -346,7 +354,7 @@ func NewWireClient(conn net.Conn) (*WireClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WireClient{c: c}, nil
+	return &WireClient{rc: RelayClient{c2: c}}, nil
 }
 
 // NewWireClientV2 is NewWireClient.
@@ -355,7 +363,7 @@ func NewWireClient(conn net.Conn) (*WireClient, error) {
 func NewWireClientV2(conn net.Conn) (*WireClient, error) { return NewWireClient(conn) }
 
 // Close releases the connection.
-func (wc *WireClient) Close() error { return wc.c.close() }
+func (wc *WireClient) Close() error { return wc.rc.Close() }
 
 // confirmTag derives the non-secret key-confirmation value a verdict
 // carries: HMAC(sessionKey, "confirm").
@@ -380,11 +388,51 @@ func (wc *WireClient) Authenticate(ctx context.Context, r *Responder) (bool, err
 // the locally derived key is treated as a protocol failure (a
 // tampering or desynchronisation signal).
 func (wc *WireClient) AuthenticateSession(ctx context.Context, r *Responder) (bool, [32]byte, error) {
-	return wc.c.authenticateSession(ctx, r)
+	var zero [32]byte
+	challenge, tx, err := wc.rc.BeginAuth(ctx, r.ID)
+	if err != nil {
+		return false, zero, err
+	}
+	resp, err := r.Respond(challenge)
+	if err != nil {
+		tx.Abandon()
+		return false, zero, err
+	}
+	v, err := tx.Finish(ctx, challenge.ID, resp)
+	if err != nil {
+		return false, zero, err
+	}
+	if !v.Accepted {
+		return false, zero, nil
+	}
+	sessionKey := r.SessionKey(challenge)
+	if !v.HasConfirm || v.Confirm != confirmTag(sessionKey) {
+		return false, zero, authErrf(CodeInvalidRequest, "", "auth: session key confirmation mismatch")
+	}
+	if v.RemapAdvised {
+		// The server says the CRP budget under this key is spent;
+		// rotate immediately, on a fresh stream of this connection, so
+		// the next authentication uses a fresh logical map.
+		if err := wc.Remap(ctx, r); err != nil {
+			return true, sessionKey, fmt.Errorf("auth: advised remap failed: %w", err)
+		}
+	}
+	return true, sessionKey, nil
 }
 
 // Remap runs one key-update transaction, rotating the responder's key
 // on success.
 func (wc *WireClient) Remap(ctx context.Context, r *Responder) error {
-	return wc.c.remap(ctx, r)
+	req, tx, err := wc.rc.BeginRemap(ctx, r.ID)
+	if err != nil {
+		return err
+	}
+	success := r.HandleRemap(req) == nil
+	if err := tx.Finish(ctx, success); err != nil {
+		return err
+	}
+	if !success {
+		return authErrf(CodeInternal, "", "auth: client failed to derive the new key")
+	}
+	return nil
 }

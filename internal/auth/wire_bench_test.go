@@ -84,12 +84,7 @@ func benchWireTx(b *testing.B, depth int, rtt time.Duration) {
 		responders[i] = NewResponder(id, NewSimDevice(m), key)
 	}
 
-	ws, err := NewWireServerConfig(srv, WireConfig{
-		MaxTransactionsPerConn: 1 << 30,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ws := NewWireServer(srv)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

@@ -9,14 +9,13 @@ import (
 )
 
 // RelayClient forwards individual transaction halves to a remote
-// authd over one pipelined v2 connection. Unlike WireClient, which
-// runs a whole transaction for a device that can answer challenges,
-// the relay splits the transaction at the operation seam TxBackend
-// defines: BeginAuth brings the challenge back to the forwarding
-// node, the device's response goes out through Finish. A cluster
-// router holds one RelayClient per peer and implements TxBackend with
-// it; concurrent forwarded transactions pipeline on the shared
-// connection, each on its own stream.
+// authd over one pipelined v2 connection. It splits the transaction at
+// the operation seam TxBackend defines: BeginAuth brings the challenge
+// back to the forwarding node, the device's response goes out through
+// Finish. WireClient is these halves with a device answering in
+// between. A cluster router holds one RelayClient per peer and
+// implements TxBackend with it; concurrent forwarded transactions
+// pipeline on the shared connection, each on its own stream.
 type RelayClient struct {
 	c2 *clientV2
 }
@@ -49,57 +48,34 @@ func (rc *RelayClient) Close() error { return rc.c2.close() }
 // RelayAuthTx is a forwarded authentication transaction between its
 // two halves: the remote stream stays open, waiting for the device's
 // response. Exactly one of Finish or Abandon must be called.
-type RelayAuthTx struct {
-	c      *clientV2
-	stream uint32
-	ch     chan *wire.Buf
-}
+type RelayAuthTx struct{ clientStream }
 
 // BeginAuth forwards the opening half of an authentication: the
 // remote node issues (and journals) the challenge; the returned tx
 // carries the device's response back on the same stream.
 func (rc *RelayClient) BeginAuth(ctx context.Context, id ClientID) (*crp.Challenge, *RelayAuthTx, error) {
-	if err := ctxErr(ctx, id); err != nil {
-		return nil, nil, err
-	}
-	stream, ch, err := rc.c2.openStream()
+	st, err := rc.c2.openStream(ctx, id)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := wire.GetBuf()
-	out.B = wire.AppendClientID(out.B[:0], stream, wire.OpAuthenticate, string(id))
-	if !rc.c2.fw.send(out) {
-		rc.c2.closeStream(stream)
-		return nil, nil, rc.c2.connLost()
-	}
-	b, err := rc.c2.recv(ctx, ch)
+	out.B = wire.AppendClientID(out.B[:0], st.id, wire.OpAuthenticate, string(id))
+	challenge, err := expectChallenge(st.exchange(ctx, out))
 	if err != nil {
-		rc.c2.closeStream(stream)
+		st.close()
 		return nil, nil, err
 	}
-	challenge, err := expectChallenge(b)
-	if err != nil {
-		rc.c2.closeStream(stream)
-		return nil, nil, err
-	}
-	return challenge, &RelayAuthTx{c: rc.c2, stream: stream, ch: ch}, nil
+	return challenge, &RelayAuthTx{st}, nil
 }
 
 // Finish forwards the device's response and returns the remote
 // verdict. The confirmation tag rides the verdict, so the forwarding
 // node never holds the session key.
 func (tx *RelayAuthTx) Finish(ctx context.Context, challengeID uint64, resp crp.Response) (AuthVerdict, error) {
-	defer tx.c.closeStream(tx.stream)
+	defer tx.close()
 	out := wire.GetBuf()
-	out.B = wire.AppendResponse(out.B[:0], tx.stream, challengeID, &resp)
-	if !tx.c.fw.send(out) {
-		return AuthVerdict{}, tx.c.connLost()
-	}
-	vb, err := tx.c.recv(ctx, tx.ch)
-	if err != nil {
-		return AuthVerdict{}, err
-	}
-	v, err := expectVerdict(vb)
+	out.B = wire.AppendResponse(out.B[:0], tx.id, challengeID, &resp)
+	v, err := expectVerdict(tx.exchange(ctx, out))
 	if err != nil {
 		return AuthVerdict{}, err
 	}
@@ -114,58 +90,35 @@ func (tx *RelayAuthTx) Finish(ctx context.Context, challengeID uint64, resp crp.
 // Abandon drops a transaction whose second half will never come (the
 // device went away). The remote stream times out on its own idle
 // deadline; the local stream is released immediately.
-func (tx *RelayAuthTx) Abandon() { tx.c.closeStream(tx.stream) }
+func (tx *RelayAuthTx) Abandon() { tx.close() }
 
 // RelayRemapTx is a forwarded key-update transaction between halves.
-type RelayRemapTx struct {
-	c      *clientV2
-	stream uint32
-	ch     chan *wire.Buf
-}
+type RelayRemapTx struct{ clientStream }
 
 // BeginRemap forwards the opening half of a key update.
 func (rc *RelayClient) BeginRemap(ctx context.Context, id ClientID) (*RemapRequest, *RelayRemapTx, error) {
-	if err := ctxErr(ctx, id); err != nil {
-		return nil, nil, err
-	}
-	stream, ch, err := rc.c2.openStream()
+	st, err := rc.c2.openStream(ctx, id)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := wire.GetBuf()
-	out.B = wire.AppendClientID(out.B[:0], stream, wire.OpRemap, string(id))
-	if !rc.c2.fw.send(out) {
-		rc.c2.closeStream(stream)
-		return nil, nil, rc.c2.connLost()
-	}
-	b, err := rc.c2.recv(ctx, ch)
+	out.B = wire.AppendClientID(out.B[:0], st.id, wire.OpRemap, string(id))
+	req, err := expectRemapChallenge(st.exchange(ctx, out))
 	if err != nil {
-		rc.c2.closeStream(stream)
+		st.close()
 		return nil, nil, err
 	}
-	req, err := expectRemapChallenge(b)
-	if err != nil {
-		rc.c2.closeStream(stream)
-		return nil, nil, err
-	}
-	return req, &RelayRemapTx{c: rc.c2, stream: stream, ch: ch}, nil
+	return req, &RelayRemapTx{st}, nil
 }
 
 // Finish forwards the device's key-derivation outcome and waits for
 // the remote ack.
 func (tx *RelayRemapTx) Finish(ctx context.Context, success bool) error {
-	defer tx.c.closeStream(tx.stream)
+	defer tx.close()
 	out := wire.GetBuf()
-	out.B = wire.AppendRemapDone(out.B[:0], tx.stream, success)
-	if !tx.c.fw.send(out) {
-		return tx.c.connLost()
-	}
-	ack, err := tx.c.recv(ctx, tx.ch)
-	if err != nil {
-		return err
-	}
-	return expectRemapAck(ack)
+	out.B = wire.AppendRemapDone(out.B[:0], tx.id, success)
+	return expectRemapAck(tx.exchange(ctx, out))
 }
 
 // Abandon drops a forwarded key update mid-transaction.
-func (tx *RelayRemapTx) Abandon() { tx.c.closeStream(tx.stream) }
+func (tx *RelayRemapTx) Abandon() { tx.close() }

@@ -14,8 +14,8 @@ import (
 	"repro/internal/wire"
 )
 
-// clientV2 is the pipelining client engine behind WireClient and
-// RelayClient: many transactions share one connection, each on its
+// clientV2 is the pipelining client engine behind RelayClient (and so
+// WireClient): many transactions share one connection, each on its
 // own stream. A reader goroutine routes incoming frames to
 // per-stream channels; a frameWriter goroutine coalesces outgoing
 // frames. Concurrent callers are supported — that concurrency IS the
@@ -114,33 +114,54 @@ func (c *clientV2) readFailed(err error) {
 	c.fw.stop()
 }
 
-// openStream allocates a stream id and its delivery channel.
-func (c *clientV2) openStream() (uint32, chan *wire.Buf, error) {
+// clientStream is one transaction's stream on a clientV2 connection.
+type clientStream struct {
+	c  *clientV2
+	id uint32
+	ch chan *wire.Buf
+}
+
+// openStream allocates a stream and its delivery channel for a
+// transaction concerning client id (empty for a probe), failing fast
+// on a finished context or a lost connection.
+func (c *clientV2) openStream(ctx context.Context, id ClientID) (clientStream, error) {
+	if err := ctxErr(ctx, id); err != nil {
+		return clientStream{}, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.rerr != nil {
-		return 0, nil, connLostErr(c.rerr)
+		return clientStream{}, connLostErr(c.rerr)
 	}
-	id := c.nextID
+	st := clientStream{c: c, id: c.nextID, ch: make(chan *wire.Buf, 2)}
 	c.nextID++
-	ch := make(chan *wire.Buf, 2)
-	c.streams[id] = ch
-	return id, ch, nil
+	if c.nextID == 0 {
+		// A connection has no transaction budget, so its ids can wrap;
+		// stream 0 carries only the server's connection refusal.
+		c.nextID = 1
+	}
+	c.streams[st.id] = st.ch
+	return st, nil
 }
 
-// closeStream abandons a stream and drops any frame already routed
-// to it.
-func (c *clientV2) closeStream(id uint32) {
-	c.mu.Lock()
-	ch := c.streams[id]
-	delete(c.streams, id)
-	c.mu.Unlock()
-	if ch == nil {
-		return
+// exchange is the round trip of every transaction half: send out, a
+// frame on the stream, and wait for the stream's next frame.
+func (st *clientStream) exchange(ctx context.Context, out *wire.Buf) (*wire.Buf, error) {
+	if !st.c.fw.send(out) {
+		return nil, st.c.connLost()
 	}
+	return st.c.recv(ctx, st.ch)
+}
+
+// close abandons the stream and drops any frame already routed to it.
+func (st *clientStream) close() {
+	c := st.c
+	c.mu.Lock()
+	delete(c.streams, st.id)
+	c.mu.Unlock()
 	for {
 		select {
-		case b := <-ch:
+		case b := <-st.ch:
 			wire.PutBuf(b)
 		default:
 			return
@@ -194,117 +215,20 @@ func connLostErr(err error) error {
 // frameErr converts an error frame into the typed *AuthError the
 // server sent.
 func frameErr(b *wire.Buf) error {
-	code, client, msg, derr := wire.DecodeError(b.B)
+	remote, derr := DecodeErrorFrame(b.B)
 	if derr != nil {
 		return authErrf(CodeInvalidRequest, "", "auth: bad error frame: %v", derr)
 	}
-	return errorFromWire(ErrorCode(code), ClientID(client), msg)
+	return remote
 }
 
-// authenticateSession runs one pipelined authentication transaction.
-func (c *clientV2) authenticateSession(ctx context.Context, r *Responder) (bool, [32]byte, error) {
-	var zero [32]byte
-	if err := ctxErr(ctx, ""); err != nil {
-		return false, zero, err
-	}
-	id, ch, err := c.openStream()
+// expectChallenge decodes the reply of an exchange as a challenge
+// frame, passing the exchange's error and error frames through as
+// typed errors. It consumes b.
+func expectChallenge(b *wire.Buf, err error) (*crp.Challenge, error) {
 	if err != nil {
-		return false, zero, err
+		return nil, err
 	}
-	defer c.closeStream(id)
-	out := wire.GetBuf()
-	out.B = wire.AppendClientID(out.B[:0], id, wire.OpAuthenticate, string(r.ID))
-	if !c.fw.send(out) {
-		return false, zero, c.connLost()
-	}
-	b, err := c.recv(ctx, ch)
-	if err != nil {
-		return false, zero, err
-	}
-	challenge, err := expectChallenge(b)
-	if err != nil {
-		return false, zero, err
-	}
-	resp, err := r.Respond(challenge)
-	if err != nil {
-		return false, zero, err
-	}
-	out = wire.GetBuf()
-	out.B = wire.AppendResponse(out.B[:0], id, challenge.ID, &resp)
-	if !c.fw.send(out) {
-		return false, zero, c.connLost()
-	}
-	vb, err := c.recv(ctx, ch)
-	if err != nil {
-		return false, zero, err
-	}
-	v, err := expectVerdict(vb)
-	if err != nil {
-		return false, zero, err
-	}
-	if !v.Accepted {
-		return false, zero, nil
-	}
-	sessionKey := r.SessionKey(challenge)
-	if !v.HasConfirm || v.Confirm != confirmTag(sessionKey) {
-		return false, zero, authErrf(CodeInvalidRequest, "", "auth: session key confirmation mismatch")
-	}
-	if v.RemapAdvised {
-		// The server says the CRP budget under this key is spent;
-		// rotate immediately, on a fresh stream of this connection, so
-		// the next authentication uses a fresh logical map.
-		if err := c.remap(ctx, r); err != nil {
-			return true, sessionKey, fmt.Errorf("auth: advised remap failed: %w", err)
-		}
-	}
-	return true, sessionKey, nil
-}
-
-// remap runs one pipelined key-update transaction.
-func (c *clientV2) remap(ctx context.Context, r *Responder) error {
-	if err := ctxErr(ctx, ""); err != nil {
-		return err
-	}
-	id, ch, err := c.openStream()
-	if err != nil {
-		return err
-	}
-	defer c.closeStream(id)
-	out := wire.GetBuf()
-	out.B = wire.AppendClientID(out.B[:0], id, wire.OpRemap, string(r.ID))
-	if !c.fw.send(out) {
-		return c.connLost()
-	}
-	b, err := c.recv(ctx, ch)
-	if err != nil {
-		return err
-	}
-	req, err := expectRemapChallenge(b)
-	if err != nil {
-		return err
-	}
-	success := r.HandleRemap(req) == nil
-	out = wire.GetBuf()
-	out.B = wire.AppendRemapDone(out.B[:0], id, success)
-	if !c.fw.send(out) {
-		return c.connLost()
-	}
-	ack, err := c.recv(ctx, ch)
-	if err != nil {
-		return err
-	}
-	if err := expectRemapAck(ack); err != nil {
-		return err
-	}
-	if !success {
-		return authErrf(CodeInternal, "", "auth: client failed to derive the new key")
-	}
-	return nil
-}
-
-// expectChallenge decodes a challenge frame, passing error frames
-// through as typed errors. It consumes b.
-func expectChallenge(b *wire.Buf) (*crp.Challenge, error) {
 	defer wire.PutBuf(b)
 	switch b.Op {
 	case wire.OpError:
@@ -321,7 +245,10 @@ func expectChallenge(b *wire.Buf) (*crp.Challenge, error) {
 
 // expectVerdict decodes a verdict frame; error semantics as
 // expectChallenge. It consumes b.
-func expectVerdict(b *wire.Buf) (wire.Verdict, error) {
+func expectVerdict(b *wire.Buf, err error) (wire.Verdict, error) {
+	if err != nil {
+		return wire.Verdict{}, err
+	}
 	defer wire.PutBuf(b)
 	switch b.Op {
 	case wire.OpError:
@@ -336,9 +263,12 @@ func expectVerdict(b *wire.Buf) (wire.Verdict, error) {
 	return wire.Verdict{}, authErrf(CodeInvalidRequest, "", "auth: expected verdict, got %q", b.Op)
 }
 
-// expectRemapChallenge decodes the JSON remap-challenge payload; it
-// consumes b.
-func expectRemapChallenge(b *wire.Buf) (*RemapRequest, error) {
+// expectRemapChallenge decodes the JSON remap-challenge payload; error
+// semantics as expectChallenge. It consumes b.
+func expectRemapChallenge(b *wire.Buf, err error) (*RemapRequest, error) {
+	if err != nil {
+		return nil, err
+	}
 	defer wire.PutBuf(b)
 	switch b.Op {
 	case wire.OpError:
@@ -353,8 +283,12 @@ func expectRemapChallenge(b *wire.Buf) (*RemapRequest, error) {
 	return nil, authErrf(CodeInvalidRequest, "", "auth: expected remap_challenge, got %q", b.Op)
 }
 
-// expectRemapAck consumes b, accepting only a remap_ack frame.
-func expectRemapAck(b *wire.Buf) error {
+// expectRemapAck consumes b, accepting only a remap_ack frame; error
+// semantics as expectChallenge.
+func expectRemapAck(b *wire.Buf, err error) error {
+	if err != nil {
+		return err
+	}
 	defer wire.PutBuf(b)
 	switch b.Op {
 	case wire.OpError:

@@ -34,7 +34,6 @@ type v2conn struct {
 
 	mu      sync.Mutex
 	streams map[uint32]*v2stream
-	txCount int
 }
 
 // v2stream is one in-flight transaction on a v2 connection.
@@ -67,8 +66,8 @@ func (ws *WireServer) serveStreams(ctx context.Context, conn net.Conn, br *bufio
 	c.fw.stop()
 }
 
-// readLoop reads frames until the peer breaks, stalls, or exhausts
-// the connection's transaction budget.
+// readLoop reads frames until the peer breaks, stalls, or violates
+// the framing.
 //
 // This is the client-facing demultiplexer: PROTOCOL.md confines the
 // rep_* opcodes to a node's dedicated replication listener, and the
@@ -121,15 +120,10 @@ func (c *v2conn) readLoop(ctx context.Context) {
 	}
 }
 
-// openStream admits an opening frame: budget and cap checks, then a
-// transaction goroutine. False hangs the connection up.
+// openStream admits an opening frame: stream-id and cap checks, then
+// a transaction goroutine. False hangs the connection up.
 func (c *v2conn) openStream(ctx context.Context, b *wire.Buf) bool {
 	c.mu.Lock()
-	if c.txCount >= c.ws.cfg.MaxTransactionsPerConn {
-		c.mu.Unlock()
-		wire.PutBuf(b)
-		return false
-	}
 	if _, dup := c.streams[b.Stream]; dup {
 		// Reusing a live stream id is a protocol violation.
 		c.mu.Unlock()
@@ -146,7 +140,6 @@ func (c *v2conn) openStream(ctx context.Context, b *wire.Buf) bool {
 			"%w: per-connection stream cap %d reached", ErrUnavailable, c.ws.cfg.MaxStreamsPerConn))
 		return true
 	}
-	c.txCount++
 	st := &v2stream{id: b.Stream, inbox: make(chan *wire.Buf, 2)}
 	c.streams[st.id] = st
 	c.mu.Unlock()
@@ -350,6 +343,6 @@ func (c *v2conn) streamRemap(ctx context.Context, st *v2stream, id ClientID) {
 // sendErrV2 reports a typed failure on one stream.
 func (c *v2conn) sendErrV2(stream uint32, err error) {
 	b := wire.GetBuf()
-	b.B = appendErrorFrame(b.B[:0], stream, err)
+	b.B = AppendErrorFrame(b.B[:0], stream, err)
 	c.fw.send(b)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -175,6 +176,55 @@ func TestWireV2AuthenticateEndToEnd(t *testing.T) {
 		if !ok {
 			t.Fatalf("genuine client rejected over v2 framing (round %d)", i)
 		}
+	}
+}
+
+// A connection has no transaction budget: a long-lived client (a
+// router's pooled relay connection) runs any number of transactions
+// on it.
+func TestWireConnOutlivesManyTransactions(t *testing.T) {
+	srv, resp := wireFixture(t, 680)
+	addr, stop := startWire(t, srv)
+	defer stop()
+
+	wc, err := Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	for i := 0; i < 1100; i++ {
+		ok, err := wc.Authenticate(ctx, resp)
+		if err != nil || !ok {
+			t.Fatalf("authentication %d on one connection: ok=%v err=%v", i+1, ok, err)
+		}
+	}
+}
+
+// Stream ids wrap on a long-lived connection, past stream 0: a typed
+// error on the stream after the wrap fails that transaction alone,
+// not the connection.
+func TestWireStreamIDsWrapPastZero(t *testing.T) {
+	srv, resp := wireFixture(t, 680)
+	addr, stop := startWire(t, srv)
+	defer stop()
+
+	wc, err := Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	wc.rc.c2.mu.Lock()
+	wc.rc.c2.nextID = math.MaxUint32
+	wc.rc.c2.mu.Unlock()
+	if ok, err := wc.Authenticate(ctx, resp); err != nil || !ok {
+		t.Fatalf("authentication on the last stream id: ok=%v err=%v", ok, err)
+	}
+	stranger := NewResponder("nobody", resp.dev, resp.Key())
+	if _, err := wc.Authenticate(ctx, stranger); !errors.Is(err, ErrUnknownClient) {
+		t.Fatalf("unknown client after the wrap: err = %v, want ErrUnknownClient", err)
+	}
+	if ok, err := wc.Authenticate(ctx, resp); err != nil || !ok {
+		t.Fatalf("connection unusable after the wrap: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -414,15 +414,13 @@ func (l *primaryLink) propose(ctx context.Context, id auth.ClientID, prop *auth.
 			}
 			return chID, nil
 		case wire.OpError:
-			code, client, msg, derr := wire.DecodeError(r.payload)
+			// A malformed refusal stays retryable: invalid_request
+			// would read as a lost race and resample.
+			refusal, derr := auth.DecodeErrorFrame(r.payload)
 			if derr != nil {
 				return 0, unavailErrf(string(id), "bad proposal refusal: %v", derr)
 			}
-			return 0, &auth.AuthError{
-				Code:     auth.ErrorCode(code),
-				ClientID: auth.ClientID(client),
-				Err:      errors.New(msg),
-			}
+			return 0, refusal
 		}
 		return 0, unavailErrf(string(id), "unexpected proposal reply %q", r.op)
 	case <-t.C:

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"net"
 	"sync"
@@ -254,29 +253,13 @@ func (fc *followerConn) handlePropose(ctx context.Context, stream uint32, id aut
 	chID, err := fc.n.srv.ApproveBurn(ctx, id, pairs, keySum)
 	var frame []byte
 	if err != nil {
-		frame = appendErrFrame(nil, stream, err)
+		frame = auth.AppendErrorFrame(nil, stream, err)
 	} else {
 		frame = wire.AppendRepGrant(nil, stream, chID)
 	}
 	if err := fc.send(frame); err != nil {
 		fc.conn.Close()
 	}
-}
-
-// appendErrFrame encodes err as a wire error frame, carrying the same
-// taxonomy fields the client-facing v2 server sends.
-func appendErrFrame(dst []byte, stream uint32, err error) []byte {
-	code := string(auth.CodeOf(err))
-	client := ""
-	msg := err.Error()
-	var ae *auth.AuthError
-	if errors.As(err, &ae) {
-		client = string(ae.ClientID)
-		if ae.Err != nil {
-			msg = ae.Err.Error()
-		}
-	}
-	return wire.AppendError(dst, stream, code, client, msg)
 }
 
 // stepDown demotes a primary that learned of a higher term: the

@@ -12,14 +12,17 @@
 # time-based count on a fast machine could exhaust the hot client's
 # pair space mid-run.
 #
-#   scripts/bench_cluster.sh         # full run, 1000 iterations
-#   scripts/bench_cluster.sh 100     # smoke run (CI uses this)
+#   scripts/bench_cluster.sh               # full run, 1000 iterations
+#   scripts/bench_cluster.sh 100 out.json  # smoke run into out.json (check.sh)
+#
+# The optional second argument is the output path; it defaults to the
+# tracked BENCH_cluster.json.
 #
 # Run from the repo root (make bench-cluster and scripts/check.sh do).
 set -eu
 
 iters="${1:-1000}"
-out="BENCH_cluster.json"
+out="${2:-BENCH_cluster.json}"
 
 raw="$(go test -run '^$' -bench 'BenchmarkClusterAuth|BenchmarkClusterPrimaryCost|BenchmarkClusterFailover' \
 	-benchtime "${iters}x" -count=1 ./)"

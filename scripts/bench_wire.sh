@@ -7,14 +7,17 @@
 # mid-run. 1000 iterations keeps every variant under ~15% of one
 # plane's pair budget.
 #
-#   scripts/bench_wire.sh            # full run, 1000 iterations
-#   scripts/bench_wire.sh 50         # smoke run (CI uses this)
+#   scripts/bench_wire.sh              # full run, 1000 iterations
+#   scripts/bench_wire.sh 50 out.json  # smoke run into out.json (check.sh)
+#
+# The optional second argument is the output path; it defaults to the
+# tracked BENCH_wire.json.
 #
 # Run from the repo root (make bench-wire and scripts/check.sh do).
 set -eu
 
 iters="${1:-1000}"
-out="BENCH_wire.json"
+out="${2:-BENCH_wire.json}"
 
 raw="$(go test -run '^$' -bench BenchmarkWireTxPerConn \
 	-benchtime "${iters}x" -count=1 ./internal/auth/)"

@@ -55,13 +55,18 @@ go test -run '^$' -fuzz '^FuzzWireServerV2$' -fuzztime 5s ./internal/auth/
 echo "== wire v2 zero-alloc gate =="
 go test -count=1 -run 'TestVerifyPathZeroAlloc' ./internal/wire/
 
+# The bench smokes write to a temporary file: the tracked BENCH_*.json
+# hold full runs, and a check must leave the tree as it found it.
+smoke="$(mktemp)"
+trap 'rm -f "$smoke"' EXIT
+
 echo "== wire bench smoke (fixed 50 iterations) =="
-sh scripts/bench_wire.sh 50
+sh scripts/bench_wire.sh 50 "$smoke"
 
 echo "== cluster replication and failover (race) =="
 go test -race -count=1 -run 'TestReplicationAndFollowerReads|TestPrimaryWithoutQuorumCannotAck|TestFailoverPromotesSuccessor|TestFollowerResyncAfterPartition|TestDeposedPrimaryStepsDownOnHigherTerm' ./internal/cluster/
 
 echo "== cluster bench smoke (fixed 100 iterations) =="
-sh scripts/bench_cluster.sh 100
+sh scripts/bench_cluster.sh 100 "$smoke"
 
 echo "check: all green"
