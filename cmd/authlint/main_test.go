@@ -14,7 +14,7 @@ import (
 )
 
 // allAnalyzerNames is the registered suite by name; the fixture
-// module seeds exactly one violation per analyzer, so every e2e mode
+// module seeds at least one violation per analyzer, so every e2e mode
 // must surface every name.
 func allAnalyzerNames() []string {
 	var names []string
@@ -60,7 +60,7 @@ func buildDriver(t *testing.T) string {
 }
 
 // TestStandaloneFindsSeededViolations runs the built driver against
-// the fixture module, which seeds exactly one violation per analyzer,
+// the fixture module, which seeds at least one violation per analyzer,
 // and requires a non-zero exit naming each analyzer.
 func TestStandaloneFindsSeededViolations(t *testing.T) {
 	bin := buildDriver(t)
@@ -81,34 +81,76 @@ func TestStandaloneFindsSeededViolations(t *testing.T) {
 	}
 }
 
-// jsonWantCounts is the number of seeded fixture violations per
-// analyzer: one each, except errtaxonomy (a bare errors.New return
-// plus a non-exhaustive Retryable switch), secretflow (a chained
-// secret-to-log flow, a dangling //lint:secret, a reason-less
-// //lint:sanitizes), and repinvariant (a stale-term accept, a
-// Journal* path skipping the quorum ack, an unaccounted goroutine).
-func jsonWantCounts() map[string]int {
-	want := make(map[string]int)
-	for _, name := range allAnalyzerNames() {
-		want[name] = 1
+// finding is one fixture diagnostic, with the file relative to the
+// fixture module root.
+type finding struct {
+	Analyzer string
+	File     string
+	Line     int
+	Message  string
+}
+
+// fixtureFindings is the exact set of diagnostics the fixture module
+// seeds: one per analyzer, except errtaxonomy (a bare errors.New
+// return plus a non-exhaustive Retryable switch), locks (an unguarded
+// field, an inverted lock order), release (a pooled buffer and a conn
+// leaked on one path each), schema (an asymmetric codec, a
+// non-exhaustive wal.Type switch), secretflow (a chained
+// secret-to-log flow, a reason-less //lint:sanitizes, a dangling
+// //lint:secret), and repinvariant (a stale-term accept, a Journal*
+// path skipping the quorum ack, an unaccounted goroutine). Every
+// output mode must report exactly these, in this order.
+var fixtureFindings = []finding{
+	{"errtaxonomy", "auth/auth.go", 9, "returned error is a bare errors.New and escapes the *AuthError taxonomy; use authErr/authErrf (or &AuthError{...})"},
+	{"errtaxonomy", "auth/auth.go", 36, "Retryable's switch does not classify CodeOK: the code falls to the conservative no-retry default"},
+	{"schema", "codec/codec.go", 18, "codec asymmetry: AppendPing emits [u32] but DecodePing consumes [u64]"},
+	{"goroleak", "leak/leak.go", 7, "goroutine may block forever on this channel receive: the channel is never closed and there is no select escape"},
+	{"ctxcheck", "lib/lib.go", 8, "context.Background() is forbidden in library code; accept a context.Context from the caller (only cmd/, examples/ and tests mint root contexts)"},
+	{"locks", "locks/locks.go", 13, "field locks.Counter.n is guarded by mu; access it under c.mu.Lock, from a *Locked function, or on a freshly constructed record"},
+	{"locks", "order/order.go", 16, "acquires Outer.mu while holding Inner.mu, against the declared lock order storeShard.mu < clientRecord.mu < WAL.closedMu < Outer.mu < Inner.mu"},
+	{"release", "pool/pool.go", 11, "pooled buffer from wire.GetBuf \"e\" is not returned to the pool on every path on the path via fast"},
+	{"repinvariant", "rep/rep.go", 22, "term comparison with == is not monotonic: a term is a fencing token, compare with an ordering (>=, >) so stale terms are rejected and newer ones win"},
+	{"repinvariant", "rep/rep.go", 26, "mutation path JournalEnroll never reaches waitReplicated: replies must wait for the quorum-ack cluster journal, or a failover loses the write"},
+	{"repinvariant", "rep/rep.go", 35, "goroutine launched without lifecycle accounting: precede the go statement with wg.Add(1) so Close can wait for termination"},
+	{"release", "res/res.go", 13, "net.Conn from net.Dial \"c\" is not released on every path on the path via c.SetDeadline(time.Now().Add(time.Second)) != nil"},
+	{"secretflow", "secret/secret.go", 27, "secret Key value (declared //lint:secret) reaches log output (log.Println) via logf"},
+	{"secretflow", "secret/secret.go", 37, "lint:sanitizes directive needs a reason: //lint:sanitizes <why the output is clean>"},
+	{"secretflow", "secret/secret.go", 48, "misplaced //lint:secret directive: it must sit on a type, struct field, var, or func declaration"},
+	{"atomicwrite", "store/store.go", 8, "direct os.WriteFile bypasses the atomic temp+fsync+rename path; a crash mid-write can destroy the only copy — use wal.AtomicWriteFile (facade: authenticache.AtomicWriteFile)"},
+	{"schema", "wal/wal.go", 14, "switch on wal.Type misses TypeDelete: every record type needs an explicit case (schema drift)"},
+}
+
+// checkFindings compares one output mode's findings against
+// fixtureFindings, entry by entry.
+func checkFindings(t *testing.T, mode string, got []finding) {
+	t.Helper()
+	for i := 0; i < len(got) || i < len(fixtureFindings); i++ {
+		switch {
+		case i >= len(got):
+			t.Errorf("%s: missing finding %+v", mode, fixtureFindings[i])
+		case i >= len(fixtureFindings):
+			t.Errorf("%s: unexpected finding %+v", mode, got[i])
+		case got[i] != fixtureFindings[i]:
+			t.Errorf("%s: finding %d is\n  %+v\nwant\n  %+v", mode, i, got[i], fixtureFindings[i])
+		}
 	}
-	want["errtaxonomy"] = 2
-	want["secretflow"] = 3
-	want["repinvariant"] = 3
-	return want
 }
 
 // TestJSONOutput runs the driver in-process with -json over the
 // fixture module and checks the machine-readable contract: one JSON
-// object per line, stable field names, exactly the seeded finding
-// count per analyzer.
+// object per line, stable field names, exactly the seeded findings
+// at their positions.
 func TestJSONOutput(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{"-dir", "testdata/fixture", "-json", "./..."}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("run exited %d, want 1 (findings)\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
-	got := make(map[string]int)
+	root, err := filepath.Abs("testdata/fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []finding
 	sc := bufio.NewScanner(&out)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -125,13 +167,13 @@ func TestJSONOutput(t *testing.T) {
 		if d.File == "" || d.Line == 0 || d.Col == 0 || d.Analyzer == "" || d.Message == "" {
 			t.Errorf("diagnostic %q has empty fields", line)
 		}
-		got[d.Analyzer]++
-	}
-	for analyzer, want := range jsonWantCounts() {
-		if got[analyzer] != want {
-			t.Errorf("-json emitted %d %s findings, want exactly %d", got[analyzer], analyzer, want)
+		rel, err := filepath.Rel(root, d.File)
+		if err != nil {
+			t.Fatalf("diagnostic file %q is outside the fixture module: %v", d.File, err)
 		}
+		got = append(got, finding{d.Analyzer, filepath.ToSlash(rel), d.Line, d.Message})
 	}
+	checkFindings(t, "-json", got)
 }
 
 // TestVettoolFindsSeededViolations drives the full `go vet -vettool`
@@ -153,8 +195,8 @@ func TestVettoolFindsSeededViolations(t *testing.T) {
 
 // TestSARIFOutput runs the driver in-process with -sarif over the
 // fixture module and checks the code-scanning contract: a valid
-// SARIF 2.1.0 envelope, one rule per registered analyzer, and one
-// result per seeded finding with a physical location whose URI is
+// SARIF 2.1.0 envelope, one rule per registered analyzer, and exactly
+// the seeded findings, each with a physical location whose URI is
 // relative to the module root.
 func TestSARIFOutput(t *testing.T) {
 	var out, errOut bytes.Buffer
@@ -217,9 +259,8 @@ func TestSARIFOutput(t *testing.T) {
 			t.Errorf("rule %s has no shortDescription", r.ID)
 		}
 	}
-	got := make(map[string]int)
+	var got []finding
 	for _, res := range run.Results {
-		got[res.RuleID]++
 		if !ruleIDs[res.RuleID] {
 			t.Errorf("result ruleId %q is not a declared rule", res.RuleID)
 		}
@@ -238,17 +279,14 @@ func TestSARIFOutput(t *testing.T) {
 		if uri == "" || strings.HasPrefix(uri, "/") || strings.Contains(uri, "testdata/fixture") {
 			t.Errorf("artifact URI %q is not relative to the module root", uri)
 		}
+		got = append(got, finding{res.RuleID, uri, loc.Region.StartLine, res.Message.Text})
 	}
 	for _, a := range allAnalyzerNames() {
 		if !ruleIDs[a] {
 			t.Errorf("rules lack registered analyzer %s", a)
 		}
 	}
-	for analyzer, want := range jsonWantCounts() {
-		if got[analyzer] != want {
-			t.Errorf("-sarif emitted %d %s results, want exactly %d", got[analyzer], analyzer, want)
-		}
-	}
+	checkFindings(t, "-sarif", got)
 }
 
 // TestSecretToLogInAuthRejected is the acceptance check for the taint
@@ -318,12 +356,11 @@ func TestStandaloneCleanModuleExitsZero(t *testing.T) {
 	}
 }
 
-// TestPooledBufLeakInWireRejected is the acceptance check for
-// poolsafe's built-in seeds: a scratch module that mimics the repo's
+// TestPooledBufLeakInWireRejected is the acceptance check for the
+// release analyzer's pool seeds: a temporary module that mimics the repo's
 // import paths leaks a pooled wire.Buf on an error path in its
-// internal/auth package, and the driver must reject it — no
-// //lint:pool directive in the scratch module, only the path-matched
-// wire.GetBuf/PutBuf pair.
+// internal/auth package, and the driver must reject it on the
+// path-matched wire.GetBuf/PutBuf pair alone.
 func TestPooledBufLeakInWireRejected(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -388,7 +425,7 @@ func Frame(payload []byte) ([]byte, error) {
 			code, out.String(), errOut.String())
 	}
 	text := out.String()
-	if !strings.Contains(text, "(poolsafe)") ||
+	if !strings.Contains(text, "(release)") ||
 		!strings.Contains(text, "not returned to the pool on every path") {
 		t.Fatalf("driver did not report the seeded pooled-buffer leak:\n%s", text)
 	}

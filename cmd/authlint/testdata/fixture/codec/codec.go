@@ -1,4 +1,4 @@
-// Package codec seeds exactly one codecsym violation: the Ping
+// Package codec seeds exactly one codec-symmetry violation: the Ping
 // encoder emits a u32 body that its decoder reads back as a u64.
 package codec
 

@@ -1,4 +1,4 @@
-// Package locks seeds one lockcheck violation: a guarded field read
+// Package locks seeds one lock-guard violation: a guarded field read
 // without the mutex.
 package locks
 

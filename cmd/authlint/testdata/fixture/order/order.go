@@ -1,4 +1,4 @@
-// Package order seeds one lockorder violation: a directive-declared
+// Package order seeds one lock-order violation: a directive-declared
 // hierarchy inverted at the acquisition site.
 //
 //lint:lockorder Outer.mu < Inner.mu

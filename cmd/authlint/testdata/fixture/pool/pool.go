@@ -1,21 +1,16 @@
-// Package pool seeds exactly one poolsafe violation: a directive-
-// pinned pooled value that escapes the function on one branch without
-// reaching the pool's put.
+// Package pool seeds exactly one pooled-buffer violation: a buffer
+// from the wire pool that escapes the function on one branch without
+// reaching wire.PutBuf.
 package pool
 
-//lint:pool get=grab put=release
+import "repro/internal/wire"
 
-type entry struct{ b []byte }
-
-func grab() *entry     { return &entry{} }
-func release(e *entry) {}
-
-// Use leaks the pooled entry when fast is set: the early return skips
-// release.
+// Use leaks the pooled buffer when fast is set: the early return skips
+// the put.
 func Use(fast bool) {
-	e := grab()
+	e := wire.GetBuf()
 	if fast {
 		return
 	}
-	release(e)
+	wire.PutBuf(e)
 }

@@ -1,4 +1,4 @@
-// Package res seeds exactly one resleak violation: a dialed
+// Package res seeds exactly one resource leak: a dialed
 // connection that is abandoned on the slow-probe branch.
 package res
 

@@ -1,4 +1,4 @@
-// Package wal seeds one waldrift violation: a record-type switch that
+// Package wal seeds one WAL schema violation: a record-type switch that
 // forgot the newest constant.
 package wal
 

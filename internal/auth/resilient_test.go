@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -122,21 +123,24 @@ func fastPolicy() RetryPolicy {
 
 // responseRecorder records the challenge id of every response frame
 // a client writes, parsing frames across Write calls once the preamble
-// has passed. With cut set it closes the connection as soon as a
-// response has left — after the client revealed its response, before
-// the verdict can arrive.
+// has passed. With cut set it cuts the connection at the first
+// response — after the client revealed its response, before the
+// verdict can arrive. Each write is parsed and recorded before it is
+// sent, and the cut takes effect for reads before the response leaves:
+// the client sees neither the verdict nor an answer whose id has not
+// been recorded yet.
 type responseRecorder struct {
 	net.Conn
 	mu      *sync.Mutex
 	ids     *[]uint64
 	cut     bool
-	skip    int    // preamble bytes still to pass over
-	pending []byte // written bytes not yet parsed into whole frames
+	severed atomic.Bool // set once the cut response is about to leave
+	skip    int         // preamble bytes still to pass over
+	pending []byte      // written bytes not yet parsed into whole frames
 }
 
 func (c *responseRecorder) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.pending = append(c.pending, p[:n]...)
+	c.pending = append(c.pending, p...)
 	k := min(c.skip, len(c.pending))
 	c.pending, c.skip = c.pending[k:], c.skip-k
 	responded := false
@@ -156,8 +160,24 @@ func (c *responseRecorder) Write(p []byte) (int, error) {
 		}
 		c.pending = c.pending[wire.HeaderLen+h.Len:]
 	}
-	if responded && c.cut {
+	cutting := responded && c.cut
+	if cutting {
+		c.severed.Store(true)
+	}
+	n, err := c.Conn.Write(p)
+	if cutting {
 		c.Conn.Close()
+	}
+	return n, err
+}
+
+// Read fails once the cut began, even for a read that was already
+// waiting when the response left: whatever it returns, the verdict
+// included, is dropped.
+func (c *responseRecorder) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.severed.Load() {
+		return 0, net.ErrClosed
 	}
 	return n, err
 }
@@ -401,7 +421,7 @@ func TestResilientRemapSurvivesStaleBegin(t *testing.T) {
 			select {
 			case <-be.firstEntered:
 			case <-time.After(10 * time.Second):
-				return nil, errors.New("the first key-update begin never reached the backend")
+				return nil, authErrf(CodeInternal, "", "the first key-update begin never reached the backend")
 			}
 		}
 		var d net.Dialer

@@ -37,9 +37,15 @@ func TestFollowerAdoptsLargeSnapshot(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var sessions atomic.Int32
+	var following atomic.Bool
 	logf := func(format string, args ...any) {
 		if strings.Contains(format, "connected (snapshot") {
 			sessions.Add(1)
+		}
+		// The follower logs this after compacting the adopted state,
+		// right before its first acknowledgement.
+		if strings.Contains(format, "following node") {
+			following.Store(true)
 		}
 		t.Logf(format, args...)
 	}
@@ -90,7 +96,7 @@ func TestFollowerAdoptsLargeSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, 30*time.Second, "the follower to adopt the snapshot", func() bool {
-		return follower.Server().Enrolled("dev-0")
+		return follower.Server().Enrolled("dev-0") && following.Load()
 	})
 	var got bytes.Buffer
 	if err := follower.Server().SaveState(&got); err != nil {
@@ -102,7 +108,10 @@ func TestFollowerAdoptsLargeSnapshot(t *testing.T) {
 
 	// The session that carried the snapshot goes on to a live feed: an
 	// enrollment needs the follower's acknowledgement, and arrives
-	// without a second snapshot.
+	// without a second snapshot. The wait above covers the follower's
+	// compaction of the adopted state too; until that ends, it
+	// acknowledges nothing, and the enrollment would wait out
+	// AckTimeout.
 	if _, err := primary.Server().Enroll(ctx, "dev-1", testMap(1024, 30, 12, 680)); err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,14 @@ package analyzers
 import (
 	"repro/internal/lint"
 	"repro/internal/lint/atomicwrite"
-	"repro/internal/lint/codecsym"
 	"repro/internal/lint/ctxcheck"
 	"repro/internal/lint/errtaxonomy"
 	"repro/internal/lint/goroleak"
-	"repro/internal/lint/lockcheck"
-	"repro/internal/lint/lockorder"
-	"repro/internal/lint/poolsafe"
+	"repro/internal/lint/locks"
+	"repro/internal/lint/release"
 	"repro/internal/lint/repinvariant"
-	"repro/internal/lint/resleak"
+	"repro/internal/lint/schema"
 	"repro/internal/lint/secretflow"
-	"repro/internal/lint/waldrift"
 )
 
 // All returns every registered analyzer, ordered by name. Callers may
@@ -27,16 +24,13 @@ import (
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		atomicwrite.Analyzer,
-		codecsym.Analyzer,
 		ctxcheck.Analyzer,
 		errtaxonomy.Analyzer,
 		goroleak.Analyzer,
-		lockcheck.Analyzer,
-		lockorder.Analyzer,
-		poolsafe.Analyzer,
+		locks.Analyzer,
+		release.Analyzer,
 		repinvariant.Analyzer,
-		resleak.Analyzer,
+		schema.Analyzer,
 		secretflow.Analyzer,
-		waldrift.Analyzer,
 	}
 }

@@ -16,7 +16,6 @@ package atomicwrite
 import (
 	"go/ast"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -37,11 +36,10 @@ var forbidden = map[string]bool{
 
 func run(pass *lint.Pass) error {
 	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
+		if pass.InTestFile(f.Pos()) {
 			continue
 		}
-		if filepath.Base(name) == "atomic.go" && pass.Pkg.Name() == "wal" {
+		if filepath.Base(pass.Fset.Position(f.Pos()).Filename) == "atomic.go" && pass.Pkg.Name() == "wal" {
 			continue // the blessed implementation site
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -7,7 +7,7 @@ import (
 
 // Interprocedural facility: a package-level call graph over go/types
 // function objects. Analyzers that need to reason across function
-// boundaries (lockorder's lock-acquisition propagation, goroleak's
+// boundaries (the locks analyzer's acquisition propagation, goroleak's
 // blocking-operation search) get it from Pass.CallGraph(); the graph
 // is built once per package and shared across analyzers.
 //
@@ -15,11 +15,12 @@ import (
 // method calls bind through the static receiver type, and a call
 // through an interface is additionally devirtualised to every
 // in-package concrete implementation (Targets), which is how the
-// graph crosses abstraction boundaries like auth.ClientStore without
-// whole-program analysis. Calls whose callee cannot be resolved
-// (function values, externals) simply produce no edge — the graph is
-// an under-approximation, which is the right default for linting:
-// missing edges cost findings, never false ones.
+// graph crosses abstraction boundaries like fault's net.Conn
+// wrappers, wal.FS and fault.Gate without whole-program analysis.
+// Calls whose callee cannot be resolved (function values, externals)
+// simply produce no edge — the graph is an under-approximation, which
+// is the right default for linting: missing edges cost findings, never
+// false ones.
 
 // CallSite is one statically resolved call inside a function body.
 type CallSite struct {

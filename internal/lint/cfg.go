@@ -1,9 +1,8 @@
 package lint
 
 // Flow-sensitive facility: per-function basic-block control-flow
-// graphs built from go/ast, plus a generic worklist solver over
-// analyzer-supplied lattice states and def-use chains over the
-// blocks. Pass.CFG(fn) caches graphs on the Package next to the call
+// graphs built from go/ast, plus a generic forward worklist solver
+// over analyzer-supplied lattice states. Pass.CFG(fn) caches graphs on the Package next to the call
 // graph and the taint dataflow, so every analyzer of a package shares
 // one construction.
 //
@@ -20,8 +19,8 @@ package lint
 // Short-circuit conditions are split: `a && b` evaluates a in one
 // block with a False edge bypassing b, so an analyzer sees exactly
 // which atoms a path evaluated. True/False edges carry the condition
-// atom in Edge.Cond, which is how poolsafe names the branch a leaked
-// value took.
+// atom in Edge.Cond, which is how the release analyzer names the
+// branch a leaked value took.
 //
 // Exits: every return wires an EdgeReturn to the Exit block, a
 // terminal call (panic, os.Exit, log.Fatal*, runtime.Goexit) wires an
@@ -510,15 +509,15 @@ func ShallowInspect(n ast.Node, fn func(ast.Node) bool) {
 
 // --- Worklist solver -------------------------------------------------------
 
-// FlowProblem is one dataflow analysis over a CFG. States are opaque
-// to the solver; only the problem interprets them. Transfer must not
-// mutate its input state (blocks with several successors reuse it).
+// FlowProblem is one forward dataflow analysis over a CFG. States
+// are opaque to the solver; only the problem interprets them.
+// Transfer must not mutate its input state (blocks with several
+// successors reuse it).
 type FlowProblem interface {
-	// Boundary is the state entering Entry (forward) or leaving Exit
-	// (backward).
+	// Boundary is the state entering Entry.
 	Boundary() any
 	// Transfer computes the state leaving block b given the state
-	// entering it (directions swap for backward problems).
+	// entering it.
 	Transfer(b *Block, in any) any
 	// Join merges two states where control flow meets.
 	Join(a, b any) any
@@ -533,35 +532,24 @@ type EdgeRefiner interface {
 	RefineEdge(e *Edge, state any) any
 }
 
-// Solve runs a worklist iteration to the fixed point and returns the
-// state entering each reached block (forward) or leaving it
-// (backward). Unreachable blocks are absent from the result.
-func (c *CFG) Solve(p FlowProblem, backward bool) map[*Block]any {
+// Solve runs a forward worklist iteration to the fixed point and
+// returns the state entering each reached block. Unreachable blocks
+// are absent from the result.
+func (c *CFG) Solve(p FlowProblem) map[*Block]any {
 	in := make(map[*Block]any, len(c.Blocks))
 	seen := make(map[*Block]bool, len(c.Blocks))
-	start := c.Entry
-	if backward {
-		start = c.Exit
-	}
-	in[start] = p.Boundary()
-	seen[start] = true
-	work := []*Block{start}
-	queued := map[*Block]bool{start: true}
+	in[c.Entry] = p.Boundary()
+	seen[c.Entry] = true
+	work := []*Block{c.Entry}
+	queued := map[*Block]bool{c.Entry: true}
 	refiner, _ := p.(EdgeRefiner)
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
 		queued[b] = false
 		out := p.Transfer(b, in[b])
-		edges := b.Succs
-		if backward {
-			edges = b.Preds
-		}
-		for _, e := range edges {
+		for _, e := range b.Succs {
 			next := e.To
-			if backward {
-				next = e.From
-			}
 			s := out
 			if refiner != nil {
 				s = refiner.RefineEdge(e, s)
@@ -583,80 +571,4 @@ func (c *CFG) Solve(p FlowProblem, backward bool) map[*Block]any {
 		}
 	}
 	return in
-}
-
-// --- Def-use chains --------------------------------------------------------
-
-// Ref is one definition or use of a variable inside a CFG.
-type Ref struct {
-	Block *Block
-	Ident *ast.Ident
-	// IsDef marks a binding or whole-variable assignment; a field or
-	// element write through the variable is a use of it.
-	IsDef bool
-}
-
-// DefUse computes the def-use chains of every local variable
-// mentioned in the graph: per variable, its defs and uses in block
-// index order (which is source order within a block). Idents inside
-// function literal bodies belong to the literal and are excluded.
-func (c *CFG) DefUse(info *types.Info) map[*types.Var][]Ref {
-	out := make(map[*types.Var][]Ref)
-	add := func(b *Block, id *ast.Ident, isDef bool) {
-		var obj types.Object
-		if isDef {
-			obj = info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-		} else {
-			obj = info.Uses[id]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() {
-			return
-		}
-		out[v] = append(out[v], Ref{Block: b, Ident: id, IsDef: isDef})
-	}
-	for _, b := range c.Blocks {
-		for _, n := range b.Nodes {
-			// Whole-variable assignment targets are defs; everything
-			// else that resolves to a variable is a use.
-			defs := make(map[*ast.Ident]bool)
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range st.Lhs {
-					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-						defs[id] = true
-					}
-				}
-			case *ast.RangeStmt:
-				if id, ok := st.Key.(*ast.Ident); ok {
-					defs[id] = true
-				}
-				if id, ok := st.Value.(*ast.Ident); ok {
-					defs[id] = true
-				}
-			case *ast.DeclStmt:
-				if gd, ok := st.Decl.(*ast.GenDecl); ok {
-					for _, spec := range gd.Specs {
-						if vs, ok := spec.(*ast.ValueSpec); ok {
-							for _, name := range vs.Names {
-								defs[name] = true
-							}
-						}
-					}
-				}
-			}
-			ShallowInspect(n, func(m ast.Node) bool {
-				id, ok := m.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				add(b, id, defs[id] || info.Defs[id] != nil)
-				return true
-			})
-		}
-	}
-	return out
 }

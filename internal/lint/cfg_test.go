@@ -13,7 +13,7 @@ import (
 )
 
 // buildCFG type-checks one source file and returns the graph of the
-// named function plus the types.Info for def-use queries.
+// named function plus its types.Info.
 func buildCFG(t *testing.T, src, fn string) (*CFG, *types.Info) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -321,85 +321,6 @@ func f(n int) string {
 	}
 }
 
-// liveVars is a toy backward problem (live-variable analysis) used to
-// exercise the solver in both directions; states are sorted
-// comma-joined variable names.
-type liveVars struct {
-	info *types.Info
-	du   map[*types.Var][]Ref
-}
-
-func (lv *liveVars) Boundary() any { return "" }
-func (lv *liveVars) Join(a, b any) any {
-	set := map[string]bool{}
-	for _, s := range strings.Split(a.(string)+","+b.(string), ",") {
-		if s != "" {
-			set[s] = true
-		}
-	}
-	return joinSet(set)
-}
-func (lv *liveVars) Equal(a, b any) bool { return a == b }
-func (lv *liveVars) Transfer(b *Block, in any) any {
-	set := map[string]bool{}
-	for _, s := range strings.Split(in.(string), ",") {
-		if s != "" {
-			set[s] = true
-		}
-	}
-	// Backward through the block's refs (DefUse returns them in
-	// forward order, so walk them reversed): kill defs, gen uses.
-	for v, refs := range lv.du {
-		for i := len(refs) - 1; i >= 0; i-- {
-			r := refs[i]
-			if r.Block != b {
-				continue
-			}
-			if r.IsDef {
-				delete(set, v.Name())
-			} else {
-				set[v.Name()] = true
-			}
-		}
-	}
-	return joinSet(set)
-}
-
-func joinSet(set map[string]bool) string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
-}
-
-func TestCFGSolveBackwardLiveness(t *testing.T) {
-	c, info := buildCFG(t, `package p
-func f(a, b int) int {
-	x := a + b
-	if x > 0 {
-		return x
-	}
-	return b
-}`, "f")
-	lv := &liveVars{info: info, du: c.DefUse(info)}
-	res := c.Solve(lv, true)
-	// At function entry (state leaving Entry backward = state entering
-	// the function) a and b must be live, x must not.
-	entryState, ok := res[c.Entry]
-	if !ok {
-		t.Fatal("entry not reached by backward solve")
-	}
-	s := lv.Transfer(c.Entry, entryState).(string)
-	if !strings.Contains(s, "a") || !strings.Contains(s, "b") {
-		t.Errorf("entry liveness = %q, want a and b live", s)
-	}
-	if strings.Contains(s, "x") {
-		t.Errorf("entry liveness = %q: x live before its definition", s)
-	}
-}
-
 // reachCount is a toy forward problem counting joined paths, plus an
 // EdgeRefiner recording the branch conditions traversed.
 type reachCount struct{ conds map[string]bool }
@@ -407,7 +328,18 @@ type reachCount struct{ conds map[string]bool }
 func (rc *reachCount) Boundary() any                 { return "" }
 func (rc *reachCount) Transfer(b *Block, in any) any { return in }
 func (rc *reachCount) Join(a, b any) any {
-	return (&liveVars{}).Join(a, b)
+	set := map[string]bool{}
+	for _, s := range strings.Split(a.(string)+","+b.(string), ",") {
+		if s != "" {
+			set[s] = true
+		}
+	}
+	names := make([]string, 0, len(set))
+	for n := range set {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ",")
 }
 func (rc *reachCount) Equal(a, b any) bool { return a == b }
 func (rc *reachCount) RefineEdge(e *Edge, state any) any {
@@ -434,7 +366,7 @@ func f(ok bool) int {
 	return 0
 }`, "f")
 	rc := &reachCount{conds: map[string]bool{}}
-	res := c.Solve(rc, false)
+	res := c.Solve(rc)
 	if !rc.conds["ok"] || !rc.conds["!ok"] {
 		t.Fatalf("refiner saw conditions %v, want both polarities of ok", rc.conds)
 	}
@@ -443,46 +375,14 @@ func f(ok bool) int {
 	}
 }
 
-func TestCFGDefUseOrder(t *testing.T) {
-	c, info := buildCFG(t, `package p
-func f() int {
-	x := 1
-	y := x + 2
-	x = y
-	return x
-}`, "f")
-	du := c.DefUse(info)
-	var xRefs []Ref
-	for v, refs := range du {
-		if v.Name() == "x" {
-			xRefs = refs
-		}
-	}
-	if len(xRefs) != 4 {
-		t.Fatalf("x has %d refs, want def,use,def,use", len(xRefs))
-	}
-	wantDefs := []bool{true, false, true, false}
-	for i, r := range xRefs {
-		if r.IsDef != wantDefs[i] {
-			t.Errorf("x ref %d: IsDef=%v, want %v", i, r.IsDef, wantDefs[i])
-		}
-	}
-}
-
 func TestCFGFuncLitExcluded(t *testing.T) {
-	c, info := buildCFG(t, `package p
+	c, _ := buildCFG(t, `package p
 func f() func() int {
 	x := 1
 	g := func() int { y := 2; return y }
 	_ = x
 	return g
 }`, "f")
-	du := c.DefUse(info)
-	for v := range du {
-		if v.Name() == "y" {
-			t.Error("def-use leaked into the function literal body")
-		}
-	}
 	// The literal's body statements must not appear as block nodes.
 	for _, blk := range c.Blocks {
 		for _, n := range blk.Nodes {

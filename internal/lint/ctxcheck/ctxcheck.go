@@ -13,7 +13,6 @@ package ctxcheck
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -26,7 +25,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	edge := edgePackage(pass.PkgPath)
+	edge := pass.EdgePackage()
 	for _, scope := range lint.FuncScopes(pass.Files) {
 		hasCtx := scopeHasCtx(pass.TypesInfo, scope)
 		scope.InspectShallow(func(n ast.Node) bool {
@@ -42,7 +41,7 @@ func run(pass *lint.Pass) error {
 			case hasCtx:
 				pass.Reportf(call.Pos(),
 					"function already receives a context; pass ctx (or a context derived from it) instead of context.%s()", name)
-			case !edge && !testFile(pass, call):
+			case !edge && !pass.InTestFile(call.Pos()):
 				pass.Reportf(call.Pos(),
 					"context.%s() is forbidden in library code; accept a context.Context from the caller (only cmd/, examples/ and tests mint root contexts)", name)
 			}
@@ -50,22 +49,6 @@ func run(pass *lint.Pass) error {
 		})
 	}
 	return nil
-}
-
-// edgePackage reports whether the import path is a program edge:
-// any path segment equal to cmd or examples.
-func edgePackage(pkgPath string) bool {
-	for _, seg := range strings.Split(pkgPath, "/") {
-		if seg == "cmd" || seg == "examples" {
-			return true
-		}
-	}
-	return false
-}
-
-// testFile reports whether the node lives in a _test.go file.
-func testFile(pass *lint.Pass, n ast.Node) bool {
-	return strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go")
 }
 
 // rootCtxCall matches context.Background() / context.TODO().

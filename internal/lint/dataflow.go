@@ -649,7 +649,7 @@ func (a *flowAnalyzer) analyze(ff *FuncFlow, report bool) bool {
 	if cfg == nil {
 		return false
 	}
-	sol := cfg.Solve((*taintFlow)(a), false)
+	sol := cfg.Solve((*taintFlow)(a))
 
 	changed := false
 	if report {

@@ -52,13 +52,13 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	if edgePackage(pass.PkgPath) {
+	if pass.EdgePackage() {
 		return nil
 	}
 	esc := collectEscapes(pass)
 	c := &checker{pass: pass, esc: esc, graph: pass.CallGraph()}
 	for _, f := range pass.Files {
-		if testFile(pass, f) {
+		if pass.InTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -70,21 +70,6 @@ func run(pass *lint.Pass) error {
 	}
 	c.checkTickers()
 	return nil
-}
-
-// edgePackage mirrors ctxcheck's exemption: any path segment equal to
-// cmd or examples.
-func edgePackage(pkgPath string) bool {
-	for _, seg := range strings.Split(pkgPath, "/") {
-		if seg == "cmd" || seg == "examples" {
-			return true
-		}
-	}
-	return false
-}
-
-func testFile(pass *lint.Pass, n ast.Node) bool {
-	return strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go")
 }
 
 // escapes is the package-wide channel-provenance evidence.
@@ -170,7 +155,7 @@ func collectEscapes(pass *lint.Pass) *escapes {
 		}
 	}
 	for _, f := range pass.Files {
-		if testFile(pass, f) {
+		if pass.InTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -428,7 +413,7 @@ func (c *checker) isWaitGroupDone(call *ast.CallExpr) bool {
 func (c *checker) checkTickers() {
 	info := c.pass.TypesInfo
 	for _, f := range c.pass.Files {
-		if testFile(c.pass, f) {
+		if c.pass.InTestFile(f.Pos()) {
 			continue
 		}
 		for _, decl := range f.Decls {

@@ -6,9 +6,8 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/errtaxonomy"
-	"repro/internal/lint/lockcheck"
-	"repro/internal/lint/poolsafe"
-	"repro/internal/lint/resleak"
+	"repro/internal/lint/locks"
+	"repro/internal/lint/release"
 )
 
 // TestUnusedIgnoreReported loads the ignore-lifecycle fixture and
@@ -48,55 +47,55 @@ func TestUnusedIgnoreGatedOnRanAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
-	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{lockcheck.Analyzer})
+	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{locks.Analyzer})
 	if err != nil {
-		t.Fatalf("run lockcheck: %v", err)
+		t.Fatalf("run locks: %v", err)
 	}
 	if len(diags) != 0 {
-		t.Fatalf("lockcheck-only run flagged directives for analyzers that never ran: %v", diags)
+		t.Fatalf("locks-only run flagged directives for analyzers that never ran: %v", diags)
 	}
 }
 
-// TestUnusedIgnoreFlowAnalyzers runs the lifecycle against poolsafe:
+// TestUnusedIgnoreFlowAnalyzers runs the lifecycle against release:
 // the directive over a real leak suppresses it silently, the one over
-// clean pool discipline is reported as stale, and the resleak
-// directive stays untouched because resleak did not run.
+// a clean release is reported as stale, and the locks directive stays
+// untouched because locks did not run.
 func TestUnusedIgnoreFlowAnalyzers(t *testing.T) {
 	pkg, err := lint.LoadDir("testdata/src/poolix")
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
-	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{poolsafe.Analyzer})
+	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{release.Analyzer})
 	if err != nil {
-		t.Fatalf("run poolsafe: %v", err)
+		t.Fatalf("run release: %v", err)
 	}
 	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly the stale poolsafe directive: %v", len(diags), diags)
+		t.Fatalf("got %d diagnostics, want exactly the stale release directive: %v", len(diags), diags)
 	}
 	d := diags[0]
-	if d.Analyzer != "lint" || !strings.Contains(d.Message, "unused lint:ignore directive: poolsafe") {
-		t.Errorf("want the stale poolsafe directive reported by the framework, got %v", d)
+	if d.Analyzer != "lint" || !strings.Contains(d.Message, "unused lint:ignore directive: release") {
+		t.Errorf("want the stale release directive reported by the framework, got %v", d)
 	}
 }
 
-// TestUnusedIgnoreFlowAnalyzersGate adds resleak to the run: now the
-// stale resleak directive is judged too, while the used poolsafe
+// TestUnusedIgnoreFlowAnalyzersGate adds locks to the run: now the
+// stale locks directive is judged too, while the used release
 // suppression still holds.
 func TestUnusedIgnoreFlowAnalyzersGate(t *testing.T) {
 	pkg, err := lint.LoadDir("testdata/src/poolix")
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
-	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{poolsafe.Analyzer, resleak.Analyzer})
+	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{release.Analyzer, locks.Analyzer})
 	if err != nil {
-		t.Fatalf("run poolsafe+resleak: %v", err)
+		t.Fatalf("run release+locks: %v", err)
 	}
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want the two stale directives: %v", len(diags), diags)
 	}
 	for _, want := range []string{
-		"unused lint:ignore directive: poolsafe",
-		"unused lint:ignore directive: resleak",
+		"unused lint:ignore directive: release",
+		"unused lint:ignore directive: locks",
 	} {
 		found := false
 		for _, d := range diags {

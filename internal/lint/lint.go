@@ -7,11 +7,10 @@
 // compatible so the analyzers port to the real framework unchanged if
 // x/tools ever becomes available.
 //
-// The four project analyzers live in the subpackages lockcheck,
-// ctxcheck, errtaxonomy and atomicwrite; cmd/authlint drives them
-// over `go list` patterns and exits non-zero on any diagnostic. See
-// DESIGN.md's "Enforced invariants" section for what each one
-// guarantees.
+// The analyzers live in subpackages, one per invariant family, and
+// the internal/lint/analyzers registry lists them; cmd/authlint
+// drives them over `go list` patterns and exits non-zero on any
+// diagnostic. See DESIGN.md §7 for what each one guarantees.
 //
 // # Suppressing a finding
 //
@@ -76,6 +75,25 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// InTestFile reports whether pos lies in a _test.go file. The
+// standalone loader drops tests, but the vettool driver feeds them
+// into the pass, and tests break the invariants on purpose.
+func (p *Pass) InTestFile(pos token.Pos) bool {
+	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+}
+
+// EdgePackage reports whether the package is a program edge: a path
+// segment equals cmd or examples. CLIs and examples run to exit and
+// own their process, so several analyzers exempt them.
+func (p *Pass) EdgePackage() bool {
+	for _, seg := range strings.Split(p.PkgPath, "/") {
+		if seg == "cmd" || seg == "examples" {
+			return true
+		}
+	}
+	return false
 }
 
 // Diagnostic is one finding, resolved to a file position.
@@ -187,7 +205,10 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return diags[i].Analyzer < diags[j].Analyzer
+		if diags[i].Analyzer != diags[j].Analyzer {
+			return diags[i].Analyzer < diags[j].Analyzer
+		}
+		return diags[i].Message < diags[j].Message
 	})
 	return diags, nil
 }
@@ -295,77 +316,6 @@ func RootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// IsMutex reports whether t is sync.Mutex, sync.RWMutex, or a pointer
-// to one.
-func IsMutex(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// MutexSel resolves the receiver of a .Lock()/.Unlock() call — e.g.
-// rec.mu or s.shards[i].closedMu — to the named type declaring the
-// mutex field, the field name, and the chain's root object (for lock
-// identity). ok is false for non-field mutexes (locals, unresolvable
-// chains).
-func MutexSel(info *types.Info, x ast.Expr) (owner, field string, root types.Object, ok bool) {
-	sel, isSel := ast.Unparen(x).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", nil, false
-	}
-	selection := info.Selections[sel]
-	if selection == nil || selection.Kind() != types.FieldVal || !IsMutex(selection.Obj().Type()) {
-		return "", "", nil, false
-	}
-	recv := selection.Recv()
-	if p, isPtr := recv.Underlying().(*types.Pointer); isPtr {
-		recv = p.Elem()
-	}
-	// Walk the selection's index path to the struct actually declaring
-	// the field (embedded chains), naming the outermost named type on
-	// the way when the direct receiver is unnamed.
-	name := namedName(recv)
-	idx := selection.Index()
-	t := recv
-	for depth := 0; depth < len(idx)-1; depth++ {
-		st, isStruct := t.Underlying().(*types.Struct)
-		if !isStruct {
-			break
-		}
-		t = st.Field(idx[depth]).Type()
-		if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		if n := namedName(t); n != "" {
-			name = n
-		}
-	}
-	if name == "" {
-		return "", "", nil, false
-	}
-	rootID := RootIdent(sel.X)
-	if rootID == nil {
-		return "", "", nil, false
-	}
-	root = info.Uses[rootID]
-	if root == nil {
-		root = info.Defs[rootID]
-	}
-	if root == nil {
-		return "", "", nil, false
-	}
-	return name, sel.Sel.Name, root, true
 }
 
 // namedName returns t's type name, or "" for unnamed types.

@@ -1,7 +1,7 @@
 package lint
 
-// Must-release ownership analysis over the CFG facility, shared by
-// the poolsafe and resleak analyzers. The engine tracks values a
+// Must-release ownership analysis over the CFG facility, behind the
+// release analyzer's two seed sets. The engine tracks values a
 // configured acquisition call hands out (a pooled buffer, an open
 // conn) through a forward flow problem whose per-variable lattice is
 // the {live, released, escaped} powerset, and reports a leak when a
@@ -252,7 +252,7 @@ func RunOwnership(pass *Pass, cfg *OwnershipConfig) []OwnershipFinding {
 			if !eng.relevant(u) && !u.consumesFormal() {
 				continue
 			}
-			exits := u.walk(u.cfg.Solve(u, false), nil)
+			exits := u.walk(u.cfg.Solve(u), nil)
 			if eng.updateSummaries(u, exits) {
 				changed = true
 			}
@@ -273,7 +273,7 @@ func RunOwnership(pass *Pass, cfg *OwnershipConfig) []OwnershipFinding {
 		if !eng.relevant(u) {
 			continue
 		}
-		u.walk(u.cfg.Solve(u, false), emit)
+		u.walk(u.cfg.Solve(u), emit)
 	}
 	sortFindings(finds)
 	return finds

@@ -14,15 +14,6 @@
 //     can return — a journal method that skips the quorum ack
 //     acknowledges writes a failover can lose.
 //
-//   - Client-port fencing: replication opcodes are spoken only on the
-//     dedicated replication listener. A
-//     //lint:repfence <path>#<section> [type=] [prefix=] [reject=]
-//     directive pins a client-facing dispatch file against the
-//     PROTOCOL.md opcode table: no case in the file's switches over
-//     the opcode type may match a rejected (rep_*) table row, and the
-//     dispatch must keep a default arm so unknown opcodes are
-//     refused, not ignored.
-//
 //   - Goroutine lifecycle: in a replication package (one declaring
 //     waitReplicated), every goroutine launch must be accounted —
 //     wg.Add(1) immediately before the go statement and a deferred
@@ -31,17 +22,15 @@
 //     termination rules, made structural).
 //
 // Test files are exempt throughout: tests legitimately pin exact
-// terms and launch helper goroutines.
+// terms and launch helper goroutines. (The client-port fence that
+// PROTOCOL.md's replication section also promises is pinned to the
+// opcode table, so the schema analyzer owns it.)
 package repinvariant
 
 import (
-	"errors"
-	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/lint"
@@ -50,19 +39,14 @@ import (
 // Analyzer is the repinvariant entry point.
 var Analyzer = &lint.Analyzer{
 	Name: "repinvariant",
-	Doc:  "replication invariants: monotonic term comparisons, Journal* paths reach the quorum ack, rep opcodes fenced off the client port, accounted goroutine lifecycles",
+	Doc:  "replication invariants: monotonic term comparisons, Journal* paths reach the quorum ack, accounted goroutine lifecycles",
 	Run:  run,
 }
 
 func run(pass *lint.Pass) error {
 	checkTermComparisons(pass)
 	checkQuorumJournal(pass)
-	checkRepFences(pass)
 	return nil
-}
-
-func testFile(pass *lint.Pass, n ast.Node) bool {
-	return strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go")
 }
 
 // --- Term monotonicity -----------------------------------------------------
@@ -86,7 +70,7 @@ func termLike(e ast.Expr) bool {
 // checkTermComparisons flags ==/!= between two term-named values.
 func checkTermComparisons(pass *lint.Pass) {
 	for _, f := range pass.Files {
-		if testFile(pass, f) {
+		if pass.InTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -164,7 +148,7 @@ func checkQuorumJournal(pass *lint.Pass) {
 		if !strings.HasPrefix(node.Func.Name(), "Journal") {
 			continue
 		}
-		if testFile(pass, node.Decl) {
+		if pass.InTestFile(node.Decl.Pos()) {
 			continue
 		}
 		if !walk(node.Func, make(map[*types.Func]bool)) {
@@ -180,7 +164,7 @@ func checkQuorumJournal(pass *lint.Pass) {
 // wg.Done() inside launched bodies, in replication packages only.
 func checkGoroutineLifecycles(pass *lint.Pass, cg *lint.CallGraph) {
 	for _, f := range pass.Files {
-		if testFile(pass, f) {
+		if pass.InTestFile(f.Pos()) {
 			continue
 		}
 		// Map each go statement to the statement preceding it in its
@@ -292,195 +276,4 @@ func launchDefersDone(info *types.Info, cg *lint.CallGraph, call *ast.CallExpr) 
 		}
 	}
 	return false
-}
-
-// --- Client-port fencing ---------------------------------------------------
-
-// fencePrefix introduces a client-port fence directive.
-const fencePrefix = "//lint:repfence "
-
-// fenceDirective is one parsed //lint:repfence comment.
-type fenceDirective struct {
-	rel      string // markdown path relative to the directive's file
-	section  string // heading slug scoping the scan; "" = whole file
-	typeName string // opcode type the dispatch switches on (default "Opcode")
-	prefix   string // constant prefix (default "Op")
-	reject   string // table-row prefix that must be fenced (default "rep_")
-}
-
-// parseFence splits
-// `<path>[#section] [type=T] [prefix=P] [reject=R]`.
-func parseFence(rest string) (fenceDirective, error) {
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return fenceDirective{}, fmt.Errorf("expected //lint:repfence <path>[#section] [type=TypeName] [prefix=Prefix] [reject=row_prefix]")
-	}
-	d := fenceDirective{typeName: "Opcode", prefix: "Op", reject: "rep_"}
-	d.rel, d.section, _ = strings.Cut(fields[0], "#")
-	for _, f := range fields[1:] {
-		key, val, ok := strings.Cut(f, "=")
-		if !ok || val == "" {
-			return fenceDirective{}, fmt.Errorf("malformed option %q: want key=value", f)
-		}
-		switch key {
-		case "type":
-			d.typeName = val
-		case "prefix":
-			d.prefix = val
-		case "reject":
-			d.reject = val
-		default:
-			return fenceDirective{}, fmt.Errorf("unknown option %q: want type=, prefix= or reject=", key)
-		}
-	}
-	return d, nil
-}
-
-// checkRepFences validates every //lint:repfence directive: the
-// directive's file is a client-facing dispatch, and none of its
-// switches over the opcode type may accept a fenced table row.
-func checkRepFences(pass *lint.Pass) {
-	for _, f := range pass.Files {
-		if testFile(pass, f) {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, fencePrefix) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, fencePrefix))
-				d, err := parseFence(rest)
-				if err != nil {
-					pass.Reportf(c.Pos(), "malformed repfence directive: %v", err)
-					continue
-				}
-				checkOneFence(pass, f, c, d)
-			}
-		}
-	}
-}
-
-// checkOneFence applies one directive to its file.
-func checkOneFence(pass *lint.Pass, f *ast.File, c *ast.Comment, d fenceDirective) {
-	dir := filepath.Dir(pass.Fset.Position(c.Pos()).Filename)
-	lines, err := lint.MarkdownSection(filepath.Join(dir, d.rel), d.section)
-	if err != nil {
-		if errors.Is(err, lint.ErrNoSection) {
-			pass.Reportf(c.Pos(), "repfence target %s has no section #%s", d.rel, d.section)
-		} else {
-			pass.Reportf(c.Pos(), "repfence target %s is unreadable: %v", d.rel, err)
-		}
-		return
-	}
-	rows, order := lint.TableRows(lines)
-	// The fenced rows: table entries the client port must reject.
-	fenced := make(map[string]int64)
-	for _, name := range order {
-		if strings.HasPrefix(name, d.reject) {
-			fenced[name] = rows[name]
-		}
-	}
-	if len(fenced) == 0 {
-		pass.Reportf(c.Pos(), "repfence target %s lists no %s* rows: nothing to fence", d.rel, d.reject)
-		return
-	}
-
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		sw, ok := n.(*ast.SwitchStmt)
-		if !ok || sw.Tag == nil {
-			return true
-		}
-		tv, ok := pass.TypesInfo.Types[sw.Tag]
-		if !ok || !namedTypeIs(tv.Type, d.typeName) {
-			return true
-		}
-		found = true
-		fenceSwitch(pass, sw, d, fenced)
-		return true
-	})
-	if !found {
-		pass.Reportf(c.Pos(), "repfence directive fences nothing: no switch over %s in this file", d.typeName)
-	}
-}
-
-// namedTypeIs reports whether t (or its pointee) is a named type
-// called name.
-func namedTypeIs(t types.Type, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == name
-}
-
-// fenceSwitch checks one dispatch switch against the fenced rows.
-func fenceSwitch(pass *lint.Pass, sw *ast.SwitchStmt, d fenceDirective, fenced map[string]int64) {
-	hasDefault := false
-	for _, clause := range sw.Body.List {
-		cc, ok := clause.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-			continue
-		}
-		for _, e := range cc.List {
-			name, val := caseConstant(pass.TypesInfo, e)
-			for row, rowVal := range fenced {
-				wantConst := d.prefix + snakeToCamel(row)
-				if name == wantConst || (val != nil && constant.Compare(*val, token.EQL, constant.MakeInt64(rowVal))) {
-					pass.Reportf(e.Pos(),
-						"client port accepts replication opcode %s (%s = %d): PROTOCOL.md confines %s* opcodes to the replication listener; reject them with the default arm",
-						row, wantConst, rowVal, d.reject)
-				}
-			}
-		}
-	}
-	if !hasDefault {
-		pass.Reportf(sw.Pos(),
-			"client-port dispatch on %s has no default arm: unknown and replication opcodes must be rejected, not ignored",
-			d.typeName)
-	}
-}
-
-// caseConstant resolves a case expression to its constant name and
-// value (either may be missing).
-func caseConstant(info *types.Info, e ast.Expr) (string, *constant.Value) {
-	name := ""
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := info.Uses[x]; obj != nil {
-			name = obj.Name()
-		}
-	case *ast.SelectorExpr:
-		if obj := info.Uses[x.Sel]; obj != nil {
-			name = obj.Name()
-		}
-	}
-	if tv, ok := info.Types[e]; ok && tv.Value != nil {
-		return name, &tv.Value
-	}
-	return name, nil
-}
-
-// snakeToCamel maps a table-row name onto its constant spelling:
-// rep_hello → RepHello.
-func snakeToCamel(s string) string {
-	var b strings.Builder
-	up := true
-	for _, r := range s {
-		if r == '_' || r == '-' {
-			up = true
-			continue
-		}
-		if up && r >= 'a' && r <= 'z' {
-			r -= 'a' - 'A'
-		}
-		up = false
-		b.WriteRune(r)
-	}
-	return b.String()
 }

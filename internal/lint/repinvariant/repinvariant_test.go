@@ -1,11 +1,8 @@
 package repinvariant_test
 
 import (
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"repro/internal/lint"
 	"repro/internal/lint/linttest"
 	"repro/internal/lint/repinvariant"
 )
@@ -19,43 +16,4 @@ func TestTermMonotonicity(t *testing.T) {
 // and the goroutine lifecycle rules it scopes.
 func TestQuorumJournal(t *testing.T) {
 	linttest.Run(t, repinvariant.Analyzer, "testdata/src/quorumpkg")
-}
-
-// TestRepFence covers the client-port fence against a local opcode
-// table: constant-name match, value match, and the default-arm
-// requirement.
-func TestRepFence(t *testing.T) {
-	linttest.Run(t, repinvariant.Analyzer, "testdata/src/fencepkg")
-}
-
-// TestFenceDirectiveErrors asserts the directive failure modes
-// programmatically: all three anchor on the directive comment, and a
-// want comment cannot share a //-comment's line.
-func TestFenceDirectiveErrors(t *testing.T) {
-	pkg, err := lint.LoadDir("testdata/src/fencebad")
-	if err != nil {
-		t.Fatalf("load fixture: %v", err)
-	}
-	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{repinvariant.Analyzer})
-	if err != nil {
-		t.Fatalf("run repinvariant: %v", err)
-	}
-	if len(diags) != 3 {
-		t.Fatalf("got %d diagnostics, want 3: %v", len(diags), diags)
-	}
-	for _, want := range []string{
-		"repfence target missing.md is unreadable",
-		"repfence target table.md has no section #no-such-section",
-		"repfence directive fences nothing: no switch over Opcode in this file",
-	} {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, want) && filepath.Base(d.Pos.Filename) == "a.go" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no diagnostic matching %q in %v", want, diags)
-		}
-	}
 }

@@ -25,7 +25,6 @@
 package secretflow
 
 import (
-	"go/token"
 	"strings"
 
 	"repro/internal/lint"
@@ -39,7 +38,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	if edgePackage(pass.PkgPath) {
+	if pass.EdgePackage() {
 		// CLIs and examples print provisioned keys as their user
 		// interface (authd's PROVISION lines, demo output); the
 		// invariant protects the server library and daemons' logs.
@@ -48,7 +47,7 @@ func run(pass *lint.Pass) error {
 	df := pass.Dataflow()
 	for _, ff := range df.All() {
 		for _, f := range ff.Findings {
-			if testPos(pass, f.Pos) {
+			if pass.InTestFile(f.Pos) {
 				continue
 			}
 			src := f.Source
@@ -63,7 +62,7 @@ func run(pass *lint.Pass) error {
 		}
 	}
 	for _, d := range df.UnusedSecret {
-		if testPos(pass, d.Pos) {
+		if pass.InTestFile(d.Pos) {
 			continue
 		}
 		kind := "//lint:secret"
@@ -73,28 +72,10 @@ func run(pass *lint.Pass) error {
 		pass.Reportf(d.Pos, "misplaced %s directive: it must sit on a type, struct field, var, or func declaration", kind)
 	}
 	for _, d := range df.NoReasonSanitizes {
-		if testPos(pass, d.Pos) {
+		if pass.InTestFile(d.Pos) {
 			continue
 		}
 		pass.Reportf(d.Pos, "lint:sanitizes directive needs a reason: //lint:sanitizes <why the output is clean>")
 	}
 	return nil
-}
-
-// edgePackage mirrors ctxcheck's and goroleak's exemption: any path
-// segment equal to cmd or examples.
-func edgePackage(pkgPath string) bool {
-	for _, seg := range strings.Split(pkgPath, "/") {
-		if seg == "cmd" || seg == "examples" {
-			return true
-		}
-	}
-	return false
-}
-
-// testPos reports positions inside _test.go files; the vettool driver
-// feeds test files into the pass, and test fixtures legitimately
-// handle secrets loudly.
-func testPos(pass *lint.Pass, pos token.Pos) bool {
-	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }

@@ -1,42 +1,40 @@
 // Package poolix exercises the //lint:ignore lifecycle against the
-// flow-sensitive analyzers: a used suppression of a real poolsafe
-// leak, a stale poolsafe directive over clean code, and a resleak
-// directive that only a resleak run may judge.
+// flow-sensitive release analyzer: a used suppression of a real leak,
+// a stale release directive over clean code, and a locks directive
+// that only a locks run may judge.
 package poolix
 
-//lint:pool get=grab put=release
+import (
+	"os"
+	"time"
+)
 
-type entry struct{ b []byte }
-
-var free []*entry
-
-func grab() *entry     { return &entry{} }
-func release(e *entry) { free = append(free, e) }
-
-// Suppressed drops the entry on the fast path; the directive excuses
+// Suppressed drops the file on the fast path; the directive excuses
 // it with a reason, so the finding is swallowed silently.
-func Suppressed(fast bool) {
-	//lint:ignore poolsafe fixture exercises a sanctioned fast-path drop
-	e := grab()
-	if fast {
-		return
+func Suppressed(fast bool) error {
+	//lint:ignore release fixture exercises a sanctioned fast-path drop
+	f, err := os.Open("poolix.go")
+	if err != nil {
+		return err
 	}
-	release(e)
+	if fast {
+		return nil
+	}
+	return f.Close()
 }
 
 // Clean owes nothing, which makes its directive stale armor: the
 // framework must report the directive itself.
 func Clean() {
-	//lint:ignore poolsafe nothing is reported here, the directive is stale
-	e := grab()
-	defer release(e)
-	e.b = e.b[:0]
+	//lint:ignore release nothing is reported here, the directive is stale
+	t := time.NewTicker(time.Second)
+	defer t.Stop()
 }
 
-// Stale resleak directive: only a run that includes resleak may flag
-// it — a poolsafe-only pass cannot judge it.
+// Stale locks directive: only a run that includes locks may flag it —
+// a release-only pass cannot judge it.
 func Quiet() {
-	//lint:ignore resleak stale directive for an analyzer that may not have run
+	//lint:ignore locks stale directive for an analyzer that may not have run
 	x := 1
 	_ = x
 }
