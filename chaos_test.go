@@ -77,9 +77,8 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 	cfg := authenticache.DefaultServerConfig()
 	cfg.ChallengeBits = 64
 	walOpt := authenticache.WALOptions{
-		FS:            ffs,
-		FlushInterval: 200 * time.Microsecond,
-		FlushBatch:    8,
+		FS:         ffs,
+		FlushBatch: 8,
 	}
 
 	// Open and enroll on a calm disk; the storm starts once traffic
@@ -220,8 +219,7 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 		t.Fatalf("close after storm: %v", err)
 	}
 	d2, err := authenticache.OpenDurableServer(dir, cfg, chaosSeed+1, authenticache.WALOptions{
-		FlushInterval: 200 * time.Microsecond,
-		FlushBatch:    8,
+		FlushBatch: 8,
 	})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
@@ -327,9 +325,8 @@ func TestChaosWALCrashSweepRecoversEveryClient(t *testing.T) {
 	cfg.ChallengeBits = 64
 	walOpt := func(fs *fault.FS) authenticache.WALOptions {
 		return authenticache.WALOptions{
-			FS:            fs,
-			FlushInterval: 200 * time.Microsecond,
-			FlushBatch:    8,
+			FS:         fs,
+			FlushBatch: 8,
 		}
 	}
 	maps := make([]*errormap.Map, fleet)
@@ -379,8 +376,7 @@ func TestChaosWALCrashSweepRecoversEveryClient(t *testing.T) {
 		}
 
 		rec, err := authenticache.OpenDurableServer(dir, cfg, chaosSeed+1, authenticache.WALOptions{
-			FlushInterval: 200 * time.Microsecond,
-			FlushBatch:    8,
+			FlushBatch: 8,
 		})
 		if err != nil {
 			t.Fatalf("cut %d (byte %d): recovery open: %v", cut, crashAt, err)

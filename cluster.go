@@ -16,7 +16,9 @@ import (
 // ClusterNode is one member of a replicated authd cluster.
 type ClusterNode = cluster.Node
 
-// ClusterConfig describes one node's place in the cluster.
+// ClusterConfig describes one node's place in the cluster. Node 0 is
+// the initial primary; a follower serves reads while it trails the
+// primary by at most a fixed 512 records.
 type ClusterConfig = cluster.Config
 
 // ClusterStatus is a point-in-time replication snapshot of a node.
@@ -57,7 +59,9 @@ func OpenClusterNode(cfg ClusterConfig) (*ClusterNode, error) { return cluster.O
 // consistent-hash owner node.
 type Router = cluster.Router
 
-// RouterConfig describes the fleet a Router forwards into.
+// RouterConfig describes the fleet a Router forwards into. Every
+// router breaks circuits, hedges reads and skips hedge targets beyond
+// the same 512-record staleness bound the followers enforce.
 type RouterConfig = cluster.RouterConfig
 
 // NewRouter builds a consistent-hash forwarding backend over the
@@ -68,18 +72,18 @@ func NewRouter(cfg RouterConfig) *Router { return cluster.NewRouter(cfg) }
 // monitoring and capacity planning.
 type Ring = cluster.Ring
 
-// NewRing builds a placement ring over nodes node indexes with vnodes
-// virtual points each (0 uses the default granularity).
-func NewRing(nodes, vnodes int) *Ring { return cluster.NewRing(nodes, vnodes) }
+// NewRing builds the placement ring a Router uses over nodes node
+// indexes.
+func NewRing(nodes int) *Ring { return cluster.NewRing(nodes) }
 
 // PeerStatus is the router's failure-detector view of one peer: probe
 // RTT and replication frontier from the background prober, circuit
 // state from the per-peer breaker.
 type PeerStatus = cluster.PeerStatus
 
-// DeadlineBudget splits a caller's context deadline across retry or
-// hedge attempts so one hung peer cannot consume the whole request
-// allowance.
+// DeadlineBudget splits a caller's context deadline evenly across the
+// retry or hedge attempts still owed, so one hung peer cannot consume
+// the whole request allowance.
 type DeadlineBudget = auth.DeadlineBudget
 
 // RelayClient is a pooled forwarding connection to one authd node's

@@ -204,7 +204,7 @@ func benchClusterFailover(b *testing.B, stallOwner bool) {
 			LeaseTimeout:      5 * time.Second,
 			RedialInterval:    25 * time.Millisecond,
 			ReplListener:      repl[i],
-			WAL:               authenticache.WALOptions{FlushInterval: 200 * time.Microsecond, FlushBatch: 8},
+			WAL:               authenticache.WALOptions{FlushBatch: 8},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -236,9 +236,8 @@ func benchClusterFailover(b *testing.B, stallOwner bool) {
 		BreakerCooldown:  250 * time.Millisecond,
 		ProbeInterval:    25 * time.Millisecond,
 		Budget: authenticache.DeadlineBudget{
-			Attempts: 2,
-			Floor:    50 * time.Millisecond,
-			Default:  250 * time.Millisecond,
+			Floor:   50 * time.Millisecond,
+			Default: 250 * time.Millisecond,
 		},
 		Seed: 4242,
 	})
@@ -354,9 +353,7 @@ func benchClusterAuth(b *testing.B, nodeCount int, spread bool, replRTT time.Dur
 			RedialInterval:    25 * time.Millisecond,
 			ReplListener:      lns[i],
 			Dial:              dial,
-			// A tight group-commit window keeps the WAL's flush
-			// latency out of the replication-lock comparison.
-			WAL: authenticache.WALOptions{FlushInterval: 200 * time.Microsecond, FlushBatch: 8},
+			WAL:               authenticache.WALOptions{FlushBatch: 8},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -71,8 +71,12 @@ func startChaosCluster(t *testing.T) *clusterNodes {
 		cn.replAddrs = append(cn.replAddrs, repl[i].Addr().String())
 		cn.clientAddr = append(cn.clientAddr, client[i].Addr().String())
 	}
+	// The default 256-bit challenges: the forge gates assert zero
+	// impostor accepts, and at the equal-error-rate threshold an
+	// impostor passes a 64-bit challenge (≤16 of 64 bits off) with
+	// probability 4.4e-4 per attempt, a 256-bit one (≤64 of 256) with
+	// 3.4e-12.
 	acfg := authenticache.DefaultServerConfig()
-	acfg.ChallengeBits = 64
 	dir := t.TempDir()
 	for i := 0; i < 3; i++ {
 		cfg := authenticache.ClusterConfig{

@@ -58,25 +58,20 @@
 //   - follower: any other -node index. Requires -wal and -peers;
 //     syncs a snapshot from the primary, applies the record stream,
 //     serves verification locally and challenge issuance by
-//     delegation, and promotes itself on primary loss.
+//     delegation, and promotes itself on primary loss. A follower more
+//     than 512 records behind the primary's commit frontier refuses
+//     reads with a retryable "unavailable".
 //   - router: a stateless ingress tier. Requires -client-peers; each
 //     transaction is forwarded to its client's consistent-hash owner
 //     through the resilience control plane — background probes feed
-//     per-peer circuit breakers, reads hedge to the ring successor
-//     when the owner is open or slow, and key updates fail fast on an
-//     open owner circuit (DESIGN.md §11).
+//     per-peer circuit breakers (five consecutive failures open one),
+//     reads hedge to the ring successor when the owner is open or has
+//     not answered within 20ms, a successor known to be beyond the
+//     followers' staleness bound is not tried, and key updates fail
+//     fast on an open owner circuit (DESIGN.md §11).
 //
-// Three knobs tune the control plane (0 always means the library
-// default, a negative value disables the mechanism):
-//
-//   - -hedge-delay: how long a forwarded read may go unanswered
-//     before a hedge launches at the ring successor (router).
-//   - -breaker-threshold: consecutive forward failures that open a
-//     peer's circuit breaker (router).
-//   - -max-staleness: how many records a follower may trail the
-//     commit frontier and still serve reads — sets both the router's
-//     hedge-target skip and the follower's own read guard, so give
-//     every role the same value.
+// Primary and follower compact their WAL every -compact interval and
+// on drain, as the standalone durable mode does.
 //
 // A local 3-node cluster with a router in front:
 //
@@ -86,8 +81,7 @@
 //	      -client-peers :7430,:7431,:7432 -addr :7431 -wal wal1
 //	authd -role follower -node 2 -peers :7500,:7501,:7502 \
 //	      -client-peers :7430,:7431,:7432 -addr :7432 -wal wal2
-//	authd -role router -client-peers :7430,:7431,:7432 -addr :7440 \
-//	      -hedge-delay 20ms -breaker-threshold 5 -max-staleness 512
+//	authd -role router -client-peers :7430,:7431,:7432 -addr :7440
 package main
 
 import (
@@ -117,14 +111,13 @@ func main() {
 	cacheBytes := flag.Int("cache", 1<<20, "simulated cache size in bytes")
 	statePath := flag.String("state", "", "enrollment database snapshot file (loaded if present, written after enrollment)")
 	walDir := flag.String("wal", "", "write-ahead log directory: journal every mutation, recover on boot (durable mode)")
-	compactEvery := flag.Duration("compact", time.Minute, "WAL compaction interval (with -wal)")
+	compactEvery := flag.Duration("compact", time.Minute, "WAL compaction interval (every role with -wal)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent transactions before shedding with 'unavailable' (0 = unlimited)")
 	role := flag.String("role", "standalone", "cluster role: standalone, primary, follower, or router")
 	nodeIdx := flag.Int("node", 0, "this node's index into -peers (primary/follower)")
 	peers := flag.String("peers", "", "comma-separated replication addresses, one per node (primary/follower)")
 	clientPeers := flag.String("client-peers", "", "comma-separated client-facing addresses, one per node (router, and follower key-update forwarding)")
 	replicate := flag.Int("replicate", 1, "follower acknowledgements required before a mutation is durable (primary)")
-	resil := registerResilience(flag.CommandLine)
 	flag.Parse()
 
 	// SIGINT or SIGTERM (what init systems and container runtimes send)
@@ -140,11 +133,11 @@ func main() {
 	case "standalone":
 		// Fall through to the single-node paths below.
 	case "router":
-		runRouter(ctx, splitAddrs(*clientPeers), *addr, *maxInflight, resil)
+		runRouter(ctx, splitAddrs(*clientPeers), *addr, *maxInflight)
 		return
 	case "primary", "follower":
 		runClusterNode(ctx, cfg, *role, *nodeIdx, splitAddrs(*peers), splitAddrs(*clientPeers),
-			*walDir, *addr, *devices, *seed, *cacheBytes, *replicate, *maxInflight, resil)
+			*walDir, *addr, *devices, *seed, *cacheBytes, *replicate, *compactEvery, *maxInflight)
 		return
 	default:
 		log.Fatalf("authd: unknown -role %q (standalone, primary, follower, router)", *role)
@@ -232,30 +225,44 @@ func runDurable(ctx context.Context, cfg authenticache.ServerConfig, walDir, sta
 		log.Fatalf("authd: initial compaction: %v", err)
 	}
 
-	go func() {
-		t := time.NewTicker(compactEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				if err := ds.Compact(); err != nil {
-					log.Printf("authd: compaction: %v", err)
-				}
-			}
-		}
-	}()
-
+	stopCompaction := compactPeriodically(ctx, compactEvery, ds.Compact)
 	if err := serve(ctx, ds.Server, addr, maxInflight); err != nil {
 		log.Printf("authd: serve: %v", err)
 	}
+	stopCompaction()
 	// Drained: take the final snapshot so the next boot replays an
 	// empty journal tail.
 	if err := ds.Close(); err != nil {
 		log.Fatalf("authd: final snapshot: %v", err)
 	}
 	log.Printf("authd: final snapshot written to %s", walDir)
+}
+
+// compactPeriodically compacts every interval in the background, for
+// every WAL-backed role. The returned stop ends the loop and waits for
+// it, so a periodic compaction never races the final one at drain.
+func compactPeriodically(ctx context.Context, every time.Duration, compact func() error) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if err := compact(); err != nil {
+					log.Printf("authd: compaction: %v", err)
+				}
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
 }
 
 // enrollFleet manufactures and enrolls the simulated device fleet,
@@ -321,16 +328,15 @@ func splitAddrs(s string) []string {
 
 // runRouter serves a stateless forwarding tier: every transaction is
 // relayed to its client's consistent-hash owner node, with the
-// resilience knobs (hedging, breakers, staleness skip) from the
-// command line and the background prober feeding the detector.
-func runRouter(ctx context.Context, clientPeers []string, addr string, maxInflight int, resil *resilienceFlags) {
+// background prober feeding the failure detector.
+func runRouter(ctx context.Context, clientPeers []string, addr string, maxInflight int) {
 	if len(clientPeers) == 0 {
 		log.Fatal("authd: -role router requires -client-peers")
 	}
-	router := authenticache.NewRouter(resil.router(authenticache.RouterConfig{
+	router := authenticache.NewRouter(authenticache.RouterConfig{
 		ClientPeers: clientPeers,
 		Self:        -1,
-	}))
+	})
 	defer router.Close()
 	router.Start(ctx)
 	ws, err := authenticache.NewWireServerBackend(router, authenticache.WireConfig{MaxInFlight: maxInflight})
@@ -351,7 +357,7 @@ func runRouter(ctx context.Context, clientPeers []string, addr string, maxInflig
 // the initial primary (it enrolls the fleet once enough followers are
 // connected to acknowledge durably), every other index starts as a
 // follower syncing from it.
-func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role string, nodeIdx int, peers, clientPeers []string, walDir, addr string, devices int, seed uint64, cacheBytes, replicate, maxInflight int, resil *resilienceFlags) {
+func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role string, nodeIdx int, peers, clientPeers []string, walDir, addr string, devices int, seed uint64, cacheBytes, replicate int, compactEvery time.Duration, maxInflight int) {
 	if walDir == "" {
 		log.Fatalf("authd: -role %s requires -wal", role)
 	}
@@ -369,7 +375,7 @@ func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role st
 	if role == "follower" && nodeIdx == 0 {
 		log.Fatal("authd: -role follower requires -node >= 1 (node 0 starts as the primary)")
 	}
-	node, err := authenticache.OpenClusterNode(resil.cluster(authenticache.ClusterConfig{
+	node, err := authenticache.OpenClusterNode(authenticache.ClusterConfig{
 		NodeIndex:   nodeIdx,
 		Peers:       peers,
 		ClientPeers: clientPeers,
@@ -378,7 +384,7 @@ func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role st
 		Seed:        seed ^ 0xd5e7,
 		ReplicaAcks: replicate,
 		Logf:        log.Printf,
-	}))
+	})
 	if err != nil {
 		log.Fatalf("authd: open cluster node: %v", err)
 	}
@@ -418,9 +424,11 @@ func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role st
 	}
 	st := node.Status()
 	log.Printf("authd: cluster node %d (%s, term %d) serving on %s", nodeIdx, node.Role(), st.Term, l.Addr())
+	stopCompaction := compactPeriodically(ctx, compactEvery, node.Compact)
 	if err := ws.Serve(ctx, l); err != nil {
 		log.Printf("authd: serve: %v", err)
 	}
+	stopCompaction()
 	// Drained: fold the WAL into a final snapshot.
 	if err := node.Close(); err != nil {
 		log.Fatalf("authd: close cluster node: %v", err)

@@ -1,10 +1,10 @@
 package authenticache
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/auth"
+	"repro/internal/cluster"
 	"repro/internal/wal"
 )
 
@@ -18,7 +18,7 @@ import (
 // semantics.
 
 // WALOptions tunes the write-ahead log (segment size, group-commit
-// flush interval and batch).
+// batch cap, filesystem). Every commit is fsynced.
 type WALOptions = wal.Options
 
 // WALJournal is the journal interface a ServerConfig.WAL accepts;
@@ -40,60 +40,12 @@ type DurableServer struct {
 // it returns. cfg.WAL is ignored: the journal must only attach after
 // replay, otherwise recovery would re-journal every replayed record.
 func OpenDurableServer(dir string, cfg ServerConfig, seed uint64, opt WALOptions) (*DurableServer, error) {
-	w, err := wal.Open(dir, opt)
+	srv, w, err := cluster.Recover(dir, opt, cfg, seed, 0)
 	if err != nil {
 		return nil, err
 	}
-	cfg.WAL = nil
-	srv := auth.NewServer(cfg, seed)
-	snap, ok, err := w.LatestSnapshot()
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	if ok {
-		err := srv.LoadState(snap)
-		snap.Close()
-		if err != nil {
-			w.Close()
-			return nil, fmt.Errorf("authenticache: load WAL snapshot: %w", err)
-		}
-	}
-	if err := w.Replay(func(rec *wal.Record) error { return applyRecord(srv, rec) }); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("authenticache: replay WAL: %w", err)
-	}
-	// Decorrelate this boot's challenge draws from the pre-crash
-	// server's: both start from the same seed, and the registry already
-	// holds the pairs the old stream produced, so replaying the stream
-	// verbatim would sample nothing but burned pairs. The recovered
-	// challenge counters differ from those of every earlier boot that
-	// drew from the stream.
-	srv.SaltChallengeStream(srv.ChallengeCount())
 	srv.AttachJournal(w)
 	return &DurableServer{Server: srv, wal: w}, nil
-}
-
-// applyRecord dispatches one journal record onto the server's
-// idempotent replay appliers.
-func applyRecord(srv *auth.Server, rec *wal.Record) error {
-	id := auth.ClientID(rec.ClientID)
-	switch rec.Type {
-	case wal.TypeEnroll:
-		return srv.ReplayEnroll(id, rec.MapBytes, rec.Key, rec.Reserved)
-	case wal.TypeBurn:
-		return srv.ReplayBurn(id, rec.Pairs, rec.NextID, rec.CRPsSinceRemap)
-	case wal.TypeRemap:
-		return srv.ReplayRemap(id, rec.Key)
-	case wal.TypeCounter:
-		return srv.ReplayCounter(id, rec.NextID)
-	case wal.TypeDelete:
-		return srv.ReplayDelete(id)
-	}
-	return &auth.AuthError{
-		Code: auth.CodeInvalidRequest,
-		Err:  fmt.Errorf("authenticache: unknown WAL record type %d", rec.Type),
-	}
 }
 
 // Compact folds the journal into a fresh snapshot and deletes the

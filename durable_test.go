@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	authenticache "repro"
 	"repro/internal/crp"
@@ -23,9 +22,9 @@ import (
 
 var dctx = context.Background()
 
-// fastWAL keeps group-commit latency negligible in tests.
+// fastWAL caps group-commit batches at 8 records.
 func fastWAL() authenticache.WALOptions {
-	return authenticache.WALOptions{FlushInterval: 200 * time.Microsecond, FlushBatch: 8}
+	return authenticache.WALOptions{FlushBatch: 8}
 }
 
 // durableTestMap builds a single-plane synthetic error map.

@@ -48,9 +48,6 @@ const (
 func main() {
 	depth := flag.Int("depth", 1, "pipeline depth per connection (lanes sharing one connection)")
 	nodeCount := flag.Int("nodes", 1, "cluster size: 1 serves directly, N>1 replicates behind a consistent-hash router")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "router hedge delay before trying the ring successor (clustered only; 0 = library default, negative disables)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures that open a peer's breaker (clustered only; 0 = library default, negative disables)")
-	maxStaleness := flag.Int64("max-staleness", 0, "follower lag bound for serving reads (clustered only; 0 = library default, negative disables)")
 	flag.Parse()
 	if *depth < 1 {
 		log.Fatal("loadtest: -depth must be >= 1")
@@ -67,11 +64,7 @@ func main() {
 	var ingress string
 	var topology string
 	if *nodeCount > 1 {
-		cluster, err := startCluster(ctx, *nodeCount, cfg, resilience{
-			hedgeDelay:       *hedgeDelay,
-			breakerThreshold: *breakerThreshold,
-			maxStaleness:     *maxStaleness,
-		})
+		cluster, err := startCluster(ctx, *nodeCount, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -196,16 +189,7 @@ type loadCluster struct {
 	servers    []*authenticache.WireServer
 }
 
-// resilience carries the router/cluster control-plane knobs from the
-// command line (zero = library default, negative = disabled), the
-// same trio authd exposes.
-type resilience struct {
-	hedgeDelay       time.Duration
-	breakerThreshold int
-	maxStaleness     int64
-}
-
-func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig, resil resilience) (*loadCluster, error) {
+func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig) (*loadCluster, error) {
 	dir, err := os.MkdirTemp("", "loadtest-cluster")
 	if err != nil {
 		return nil, err
@@ -236,7 +220,6 @@ func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig, re
 			Seed:         uint64(1 + i),
 			ReplicaAcks:  1,
 			ReplListener: replLns[i],
-			MaxStaleness: resil.maxStaleness,
 		})
 		if err != nil {
 			c.close()
@@ -261,11 +244,8 @@ func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig, re
 	}
 
 	c.router = authenticache.NewRouter(authenticache.RouterConfig{
-		ClientPeers:      clientAddrs,
-		Self:             -1,
-		HedgeDelay:       resil.hedgeDelay,
-		BreakerThreshold: resil.breakerThreshold,
-		MaxStaleness:     resil.maxStaleness,
+		ClientPeers: clientAddrs,
+		Self:        -1,
 	})
 	c.router.Start(ctx)
 	rl, err := net.Listen("tcp", "127.0.0.1:0")

@@ -17,8 +17,6 @@ import (
 // attempts. The zero value is unusable; fill every field or use
 // WithBudgetDefaults.
 type DeadlineBudget struct {
-	// Attempts is the total attempts the budget is split across.
-	Attempts int
 	// Floor is the minimum per-attempt share: even when the remaining
 	// budget divided by the attempts left is smaller, an attempt is
 	// carved at least this long, so the budget arithmetic never
@@ -35,12 +33,9 @@ type DeadlineBudget struct {
 	Default time.Duration
 }
 
-// WithBudgetDefaults fills zero fields with workable defaults: 3
-// attempts, a 50 ms floor, a 2 s default allowance.
+// WithBudgetDefaults fills zero fields with workable defaults: a
+// 50 ms floor and a 2 s default allowance.
 func (d DeadlineBudget) WithBudgetDefaults() DeadlineBudget {
-	if d.Attempts == 0 {
-		d.Attempts = 3
-	}
 	if d.Floor == 0 {
 		d.Floor = 50 * time.Millisecond
 	}

@@ -24,7 +24,7 @@ func TestDeadlineBudgetCarveSplitsRemaining(t *testing.T) {
 
 func TestDeadlineBudgetCarveFloor(t *testing.T) {
 	// 1s across 50 attempts is a 20ms share; the 200ms floor lifts it.
-	b := DeadlineBudget{Attempts: 50, Floor: 200 * time.Millisecond, Default: time.Second}
+	b := DeadlineBudget{Floor: 200 * time.Millisecond, Default: time.Second}
 	parent, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	attempt, acancel := b.Carve(parent, 50)
@@ -41,7 +41,7 @@ func TestDeadlineBudgetCarveFloor(t *testing.T) {
 func TestDeadlineBudgetCarveCappedByParent(t *testing.T) {
 	// An exhausted budget cannot be extended by the floor: the attempt
 	// expires with the caller.
-	b := DeadlineBudget{Attempts: 3, Floor: 500 * time.Millisecond, Default: time.Second}
+	b := DeadlineBudget{Floor: 500 * time.Millisecond, Default: time.Second}
 	parent, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
 	attempt, acancel := b.Carve(parent, 3)
@@ -56,7 +56,7 @@ func TestDeadlineBudgetCarveCappedByParent(t *testing.T) {
 }
 
 func TestDeadlineBudgetCarveDefault(t *testing.T) {
-	b := DeadlineBudget{Attempts: 3, Floor: 50 * time.Millisecond, Default: 500 * time.Millisecond}
+	b := DeadlineBudget{Floor: 50 * time.Millisecond, Default: 500 * time.Millisecond}
 	attempt, acancel := b.Carve(context.Background(), 3)
 	defer acancel()
 	dl, ok := attempt.Deadline()

@@ -86,9 +86,9 @@ func (rec *clientRecord) rotateKeyLocked(key mapkey.Key) {
 	rec.crpsSinceRemap = 0
 }
 
-// defaultStoreShards is the shard count used when Config.StoreShards
-// is zero: enough to make shard-lock collisions rare at realistic
-// core counts, small enough to be free for tiny fleets.
+// defaultStoreShards is the server's shard count: enough to make
+// shard-lock collisions rare at realistic core counts, small enough to
+// be free for tiny fleets.
 const defaultStoreShards = 32
 
 // shardedStore owns the lifecycle of clientRecords: lookup, creation,

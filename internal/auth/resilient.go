@@ -29,17 +29,18 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff. 0 means 2 s.
 	MaxDelay time.Duration
-	// Multiplier grows the delay per attempt. 0 means 2.
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomised
-	// (full-jitter style over [1-Jitter, 1] of the delay), decorrelating
-	// a fleet that got shed at the same instant. 0 means 0.5; negative
-	// disables jitter.
-	Jitter float64
 	// Seed drives the jitter stream, making a client's retry timing
 	// reproducible. 0 means a fixed default seed.
 	Seed uint64
 }
+
+// Every delay doubles per attempt, and its last half is randomised
+// (full-jitter style over [0.5, 1] of the delay), decorrelating a
+// fleet that got shed at the same instant.
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.5
+)
 
 // WithDefaults fills zero fields with the documented defaults.
 func (p RetryPolicy) WithDefaults() RetryPolicy {
@@ -51,12 +52,6 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 	}
 	if p.MaxDelay == 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
 	}
 	if p.Seed == 0 {
 		p.Seed = 0x5e11f5ed
@@ -73,7 +68,7 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 func (p RetryPolicy) Delay(n int, r *rng.Rand) time.Duration {
 	d := float64(p.BaseDelay)
 	for i := 1; i < n; i++ {
-		d *= p.Multiplier
+		d *= backoffMultiplier
 		if d >= float64(p.MaxDelay) {
 			break
 		}
@@ -81,11 +76,7 @@ func (p RetryPolicy) Delay(n int, r *rng.Rand) time.Duration {
 	if d > float64(p.MaxDelay) {
 		d = float64(p.MaxDelay)
 	}
-	if p.Jitter > 0 {
-		frac := 1 - p.Jitter*r.Float64()
-		d *= frac
-	}
-	return time.Duration(d)
+	return time.Duration(d * (1 - backoffJitter*r.Float64()))
 }
 
 // RetryStats counts what the retry loop did; read it after traffic to

@@ -67,11 +67,6 @@ type Config struct {
 	// model-building mitigation ("regenerate the logical map after a
 	// predefined number of CRPs"). 0 disables the advice.
 	RemapAfterCRPs int
-	// StoreShards sets the shard count of the in-memory client store;
-	// 0 uses the default. More shards reduce map-lock collisions for
-	// very large fleets; per-client operations are independent at any
-	// setting.
-	StoreShards int
 	// WAL, when non-nil, receives a durable journal record for every
 	// mutation (enroll, pair burn, key rotation, counter advance,
 	// delete) before the mutating call returns. Recovery flows attach
@@ -132,7 +127,7 @@ func NewServer(cfg Config, seed uint64) *Server {
 	return &Server{
 		cfg:     cfg,
 		rand:    rng.New(seed),
-		store:   newShardedStore(cfg.StoreShards),
+		store:   newShardedStore(defaultStoreShards),
 		journal: cfg.WAL,
 	}
 }

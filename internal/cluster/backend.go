@@ -161,19 +161,23 @@ func (n *Node) health() auth.PeerHealth {
 	return auth.PeerHealth{Term: n.term, CommitSeq: n.appliedSeq + n.lag, AppliedSeq: n.appliedSeq}
 }
 
+// maxStaleness is how many records a follower's replica may trail the
+// primary's advertised commit frontier and still serve challenge
+// issuance. Both ends of a read enforce it: the follower's own guard
+// (checkStaleness), and the router, which skips a hedge fallback its
+// prober last saw further behind (readTargets).
+const maxStaleness = 512
+
 // checkStaleness refuses follower reads once the replica trails the
-// primary's advertised commit frontier by more than MaxStaleness
+// primary's advertised commit frontier by more than maxStaleness
 // records. Unavailable (not a verdict) on purpose: the client's retry
 // lands on a fresher node.
 func (n *Node) checkStaleness(id auth.ClientID) error {
-	if n.cfg.MaxStaleness < 0 {
-		return nil
-	}
 	n.mu.Lock()
 	lag := n.lag
 	n.mu.Unlock()
-	if lag > uint64(n.cfg.MaxStaleness) {
-		return unavailErrf(string(id), "replica %d records behind the primary (staleness bound %d)", lag, n.cfg.MaxStaleness)
+	if lag > maxStaleness {
+		return unavailErrf(string(id), "replica %d records behind the primary (staleness bound %d)", lag, maxStaleness)
 	}
 	return nil
 }

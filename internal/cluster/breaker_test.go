@@ -101,7 +101,7 @@ func TestBreakerCooldownJitterSeeded(t *testing.T) {
 }
 
 func TestRingOwnersDistinctAndStable(t *testing.T) {
-	r := NewRing(5, 0)
+	r := NewRing(5)
 	for _, id := range []string{"alpha", "beta", "gamma", "device-17"} {
 		owners := r.Owners(id, 3)
 		if len(owners) != 3 {
@@ -130,7 +130,7 @@ func TestRingOwnersDistinctAndStable(t *testing.T) {
 }
 
 func TestRingOwnersClamped(t *testing.T) {
-	r := NewRing(2, 0)
+	r := NewRing(2)
 	if got := r.Owners("x", 5); len(got) != 2 {
 		t.Fatalf("Owners over a 2-node ring returned %v", got)
 	}

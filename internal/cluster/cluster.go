@@ -41,7 +41,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -75,7 +74,8 @@ type DialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
 
 // Config describes one node of a replicated authd cluster.
 type Config struct {
-	// NodeIndex is this node's position in Peers.
+	// NodeIndex is this node's position in Peers. Node 0 is the
+	// initial primary.
 	NodeIndex int
 	// Peers lists every node's replication address, index-aligned.
 	// A single entry (or none) disables replication entirely: the node
@@ -86,8 +86,6 @@ type Config struct {
 	// transactions to the primary; empty disables forwarding (followers
 	// answer remaps with a retryable "unavailable").
 	ClientPeers []string
-	// PrimaryIndex is the initial primary (default 0).
-	PrimaryIndex int
 
 	// Dir is this node's WAL directory.
 	Dir string
@@ -113,17 +111,8 @@ type Config struct {
 	LeaseTimeout time.Duration
 	// RedialInterval is the base delay between follower reconnection
 	// attempts (default 50ms). Consecutive failed sessions back off
-	// exponentially with jitter from this base.
+	// exponentially with jitter from this base, up to 20× it.
 	RedialInterval time.Duration
-	// RedialMax caps the grown redial backoff (default 20×
-	// RedialInterval).
-	RedialMax time.Duration
-	// MaxStaleness is how many records a follower's replica may trail
-	// the primary's advertised commit frontier while still serving
-	// challenge issuance; beyond it the follower answers a retryable
-	// unavailable so hedged reads land on a fresher node. 0 uses the
-	// default (512); negative disables the guard.
-	MaxStaleness int64
 
 	// ReplListener, when non-nil, is used (once) as the replication
 	// listener instead of binding Peers[NodeIndex] — tests bind :0
@@ -175,6 +164,13 @@ type Node struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
+	// applyMu serialises a follower's append-then-apply of each shipped
+	// record with compaction. wal.Compact needs the in-memory replica
+	// at least as new as every segment it seals, and a record that is
+	// appended but not yet applied breaks that: the snapshot would miss
+	// it and the compaction would delete the only copy.
+	applyMu sync.Mutex
+
 	// The replication layer nests locks in a fixed order: Node.mu is
 	// taken first (role/term transitions), then per-structure locks,
 	// with the WAL's subscriber registry innermost (Subscribe runs
@@ -219,9 +215,6 @@ func Open(cfg Config) (*Node, error) {
 	if cfg.NodeIndex < 0 || cfg.NodeIndex >= len(cfg.Peers) {
 		return nil, configErrf("node index %d outside peers [0,%d)", cfg.NodeIndex, len(cfg.Peers))
 	}
-	if cfg.PrimaryIndex < 0 || cfg.PrimaryIndex >= len(cfg.Peers) {
-		return nil, configErrf("primary index %d outside peers [0,%d)", cfg.PrimaryIndex, len(cfg.Peers))
-	}
 	if len(cfg.ClientPeers) != 0 && len(cfg.ClientPeers) != len(cfg.Peers) {
 		return nil, configErrf("%d client peers for %d peers", len(cfg.ClientPeers), len(cfg.Peers))
 	}
@@ -244,12 +237,6 @@ func Open(cfg Config) (*Node, error) {
 	if cfg.RedialInterval <= 0 {
 		cfg.RedialInterval = 50 * time.Millisecond
 	}
-	if cfg.RedialMax <= 0 {
-		cfg.RedialMax = 20 * cfg.RedialInterval
-	}
-	if cfg.MaxStaleness == 0 {
-		cfg.MaxStaleness = 512
-	}
 	if cfg.Dial == nil {
 		var d net.Dialer
 		cfg.Dial = d.DialContext
@@ -258,37 +245,10 @@ func Open(cfg Config) (*Node, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 
-	w, err := wal.Open(cfg.Dir, cfg.WAL)
+	srv, w, err := Recover(cfg.Dir, cfg.WAL, cfg.Auth, cfg.Seed, uint64(cfg.NodeIndex)<<32)
 	if err != nil {
 		return nil, err
 	}
-	acfg := cfg.Auth
-	acfg.WAL = nil
-	srv := auth.NewServer(acfg, cfg.Seed)
-	snap, ok, err := w.LatestSnapshot()
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	if ok {
-		err := srv.LoadState(snap)
-		snap.Close()
-		if err != nil {
-			w.Close()
-			return nil, fmt.Errorf("cluster: load WAL snapshot: %w", err)
-		}
-	}
-	if err := w.Replay(func(rec *wal.Record) error { return applyRecord(srv, rec) }); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("cluster: replay WAL: %w", err)
-	}
-	// Decorrelate this node's challenge draws from every other stream
-	// derived from the same seed: the primary's (a follower replaying
-	// the primary's burns while walking the primary's draw sequence
-	// samples nothing but burned pairs) and this node's own pre-crash
-	// boots (the recovered challenge counters differ per boot).
-	srv.SaltChallengeStream(uint64(cfg.NodeIndex)<<32 ^ srv.ChallengeCount())
-
 	n := &Node{
 		cfg:        cfg,
 		replicated: replicated,
@@ -297,12 +257,11 @@ func Open(cfg Config) (*Node, error) {
 		localBE:    auth.LocalBackend(srv),
 		dial:       cfg.Dial,
 		logf:       cfg.Logf,
-		primaryIdx: cfg.PrimaryIndex,
 		relayIdx:   -1,
 	}
 	n.mu.Lock()
 	n.term = 1
-	if cfg.NodeIndex == cfg.PrimaryIndex {
+	if cfg.NodeIndex == 0 {
 		n.role = RolePrimary
 	}
 	n.lastContact = time.Now()
@@ -396,11 +355,21 @@ func (n *Node) Close() error {
 	n.wg.Wait()
 	n.backend.shutdown()
 
-	err := n.wal.Compact(n.srv.SaveState)
+	err := n.Compact()
 	if cerr := n.wal.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// Compact folds the node's WAL into a snapshot of its replica and
+// deletes the sealed segments the snapshot covers, bounding the replay
+// the next boot must do. Safe to call while the node serves traffic,
+// in either role.
+func (n *Node) Compact() error {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	return n.wal.Compact(n.srv.SaveState)
 }
 
 // Server exposes the embedded auth server (enrollment runs through

@@ -37,9 +37,10 @@ type testCluster struct {
 	addrs []string
 }
 
-// startCluster brings up n nodes (node 0 primary). dialFor, when
-// non-nil, supplies per-node dial functions (fault injection).
-func startCluster(t *testing.T, ctx context.Context, n int, dialFor func(i int) DialFunc) *testCluster {
+// startCluster brings up n nodes (node 0 primary). configure, when
+// non-nil, adjusts each node's config before it opens (fault-injecting
+// dialers, WAL options).
+func startCluster(t *testing.T, ctx context.Context, n int, configure func(i int, cfg *Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
 	lns := make([]net.Listener, n)
@@ -55,8 +56,8 @@ func startCluster(t *testing.T, ctx context.Context, n int, dialFor func(i int) 
 	for i := 0; i < n; i++ {
 		cfg := testNodeConfig(i, tc.addrs, filepath.Join(dir, fmt.Sprintf("node-%d", i)))
 		cfg.ReplListener = lns[i]
-		if dialFor != nil {
-			cfg.Dial = dialFor(i)
+		if configure != nil {
+			configure(i, &cfg)
 		}
 		node, err := Open(cfg)
 		if err != nil {
@@ -130,8 +131,8 @@ func authRoundTrip(ctx context.Context, be auth.TxBackend, r *auth.Responder) (b
 }
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	r1 := NewRing(3, 0)
-	r2 := NewRing(3, 0)
+	r1 := NewRing(3)
+	r2 := NewRing(3)
 	counts := make([]int, 3)
 	for i := 0; i < 9000; i++ {
 		id := fmt.Sprintf("device-%d", i)
@@ -146,7 +147,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 			t.Errorf("node %d owns %d/9000 clients (<15%%): ring badly skewed %v", n, c, counts)
 		}
 	}
-	if NewRing(1, 0).Owner("anything") != 0 {
+	if NewRing(1).Owner("anything") != 0 {
 		t.Error("single-node ring must own everything")
 	}
 }
@@ -328,11 +329,10 @@ func TestFollowerResyncAfterPartition(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	part := fault.NewPartition()
-	tc := startCluster(t, ctx, 3, func(i int) DialFunc {
-		if i != 2 {
-			return nil
+	tc := startCluster(t, ctx, 3, func(i int, cfg *Config) {
+		if i == 2 {
+			cfg.Dial = part.Dial
 		}
-		return part.Dial
 	})
 	primary := tc.nodes[0]
 

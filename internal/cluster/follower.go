@@ -37,11 +37,9 @@ import (
 func (n *Node) runFollower(ctx context.Context) {
 	defer n.wg.Done()
 	policy := auth.RetryPolicy{
-		BaseDelay:  n.cfg.RedialInterval,
-		MaxDelay:   n.cfg.RedialMax,
-		Multiplier: 2,
-		Jitter:     0.5,
-		Seed:       1,
+		BaseDelay: n.cfg.RedialInterval,
+		MaxDelay:  20 * n.cfg.RedialInterval,
+		Seed:      1,
 	}.WithDefaults()
 	jitter := rng.New(0x5eedf011 ^ uint64(n.cfg.NodeIndex))
 	failed := 0
@@ -199,7 +197,7 @@ func (n *Node) followOnce(ctx context.Context, target int) (synced bool) {
 	// Persist the adopted state and discard any divergent local tail
 	// from a previous reign: after this compaction the local log is a
 	// prefix of the primary's history again.
-	if err := n.wal.Compact(n.srv.SaveState); err != nil {
+	if err := n.Compact(); err != nil {
 		n.log("compact adopted snapshot: %v", err)
 		return
 	}
@@ -282,16 +280,20 @@ func (n *Node) followOnce(ctx context.Context, target int) (synced bool) {
 
 // applyReplicated makes one shipped record durable and visible:
 // verbatim frame into the local log, decoded record onto the replica
-// through the idempotent appliers.
+// through the idempotent appliers, both under applyMu so no
+// compaction falls between them.
 func (n *Node) applyReplicated(rr wire.RepRecord) error {
 	rec, err := wal.DecodeFrame(rr.Frame)
 	if err != nil {
 		return err
 	}
-	if _, err := n.wal.AppendFrame(rr.Frame); err != nil {
-		return err
+	n.applyMu.Lock()
+	_, err = n.wal.AppendFrame(rr.Frame)
+	if err == nil {
+		err = applyRecord(n.srv, rec)
 	}
-	if err := applyRecord(n.srv, rec); err != nil {
+	n.applyMu.Unlock()
+	if err != nil {
 		return err
 	}
 	n.mu.Lock()

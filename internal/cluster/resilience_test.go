@@ -12,16 +12,15 @@ import (
 
 // openIdle opens a node without starting it, so tests can set
 // replication state directly before driving the backend.
-func openIdle(t *testing.T, nodeIndex int, maxStaleness int64) *Node {
+func openIdle(t *testing.T, nodeIndex int) *Node {
 	t.Helper()
 	acfg := auth.DefaultConfig()
 	acfg.ChallengeBits = 64
 	n, err := Open(Config{
-		NodeIndex:    nodeIndex,
-		Peers:        []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
-		Dir:          t.TempDir(),
-		Auth:         acfg,
-		MaxStaleness: maxStaleness,
+		NodeIndex: nodeIndex,
+		Peers:     []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
+		Dir:       t.TempDir(),
+		Auth:      acfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +37,11 @@ func (n *Node) setLag(t *testing.T, lag uint64) {
 }
 
 func TestStalenessGuardRefusesLaggingFollower(t *testing.T) {
-	n := openIdle(t, 1, 10)
-	n.setLag(t, 11)
+	n := openIdle(t, 1)
+	n.setLag(t, maxStaleness+1)
 	_, err := n.backend.BeginAuth(context.Background(), "cl")
 	if err == nil {
-		t.Fatal("follower 11 records behind a bound of 10 served a read")
+		t.Fatalf("follower %d records behind a bound of %d served a read", maxStaleness+1, maxStaleness)
 	}
 	if !auth.Retryable(err) {
 		t.Fatalf("stale refusal must be retryable, got %v", err)
@@ -54,24 +53,15 @@ func TestStalenessGuardRefusesLaggingFollower(t *testing.T) {
 	// At or under the bound the guard passes; the request then fails
 	// differently (no primary link on this idle node), proving the
 	// refusal above came from the guard alone.
-	n.setLag(t, 10)
+	n.setLag(t, maxStaleness)
 	_, err = n.backend.BeginAuth(context.Background(), "cl")
 	if err != nil && strings.Contains(err.Error(), "staleness bound") {
 		t.Fatalf("guard fired at lag == bound: %v", err)
 	}
 }
 
-func TestStalenessGuardDisabled(t *testing.T) {
-	n := openIdle(t, 1, -1)
-	n.setLag(t, 1<<40)
-	_, err := n.backend.BeginAuth(context.Background(), "cl")
-	if err != nil && strings.Contains(err.Error(), "staleness bound") {
-		t.Fatalf("disabled guard still fired: %v", err)
-	}
-}
-
 func TestBackendHealthReport(t *testing.T) {
-	follower := openIdle(t, 1, 0)
+	follower := openIdle(t, 1)
 	follower.mu.Lock()
 	follower.appliedSeq = 40
 	follower.lag = 7
@@ -87,7 +77,7 @@ func TestBackendHealthReport(t *testing.T) {
 		t.Fatalf("Staleness() = %d, want 7", h.Staleness())
 	}
 
-	primary := openIdle(t, 0, 0)
+	primary := openIdle(t, 0)
 	h = primary.backend.Health()
 	if !h.Primary || h.Term != 1 {
 		t.Fatalf("primary health = %+v, want primary at term 1", h)
@@ -100,16 +90,15 @@ func TestBackendHealthReport(t *testing.T) {
 // TestReadTargetsSelection pins the router's hedging candidate policy:
 // open breakers are skipped everywhere, staleness only disqualifies
 // the hedge fallback (the owner is authoritative and its own guard
-// refuses), and disabling hedging truncates to the best single target.
+// refuses), and self is never a forwarding target.
 func TestReadTargetsSelection(t *testing.T) {
 	r := NewRouter(RouterConfig{
 		ClientPeers:      []string{"a", "b", "c"},
 		Self:             -1,
-		MaxStaleness:     10,
 		BreakerThreshold: 2,
 	})
 	now := time.Now()
-	r.health.observe(1, time.Millisecond, auth.PeerHealth{CommitSeq: 100, AppliedSeq: 50}, now)
+	r.health.observe(1, time.Millisecond, auth.PeerHealth{CommitSeq: 50 + maxStaleness + 1, AppliedSeq: 50}, now)
 
 	if got := r.readTargets([]int{0, 1}); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("stale hedge fallback not skipped: %v", got)
@@ -125,15 +114,6 @@ func TestReadTargetsSelection(t *testing.T) {
 	}
 	if got := r.readTargets([]int{0, 1}); len(got) != 0 {
 		t.Fatalf("open owner plus stale fallback should leave nothing: %v", got)
-	}
-
-	noHedge := NewRouter(RouterConfig{
-		ClientPeers: []string{"a", "b"},
-		Self:        -1,
-		HedgeDelay:  -1,
-	})
-	if got := noHedge.readTargets([]int{0, 1}); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("disabled hedging must keep only the owner: %v", got)
 	}
 
 	embedded := NewRouter(RouterConfig{

@@ -23,18 +23,15 @@ type ringPoint struct {
 	node int
 }
 
-// defaultVNodes is the virtual-node count per physical node; enough
-// for <2% placement skew at small N.
-const defaultVNodes = 64
+// vnodes is the virtual-node count per physical node; enough for <2%
+// placement skew at small N.
+const vnodes = 64
 
 // NewRing builds a ring over nodes node indexes with vnodes virtual
-// points each (0 uses the default).
-func NewRing(nodes, vnodes int) *Ring {
+// points each.
+func NewRing(nodes int) *Ring {
 	if nodes < 1 {
 		nodes = 1
-	}
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
 	}
 	r := &Ring{points: make([]ringPoint, 0, nodes*vnodes), nodes: nodes}
 	for n := 0; n < nodes; n++ {

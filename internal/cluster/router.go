@@ -67,17 +67,12 @@ type RouterConfig struct {
 	// Local executes transactions for locally owned clients (required
 	// when Self >= 0).
 	Local auth.TxBackend
-	// VNodes tunes ring granularity (0 uses the default).
-	VNodes int
-	// TxTTL bounds how long a begun-but-unfinished forwarded
-	// transaction is held before it is abandoned (default 30s).
-	TxTTL time.Duration
 
 	// Dial opens relay connections (default auth.DialRelay); chaos
 	// tests inject fault-gated dialers here.
 	Dial func(ctx context.Context, addr string) (*auth.RelayClient, error)
 	// BreakerThreshold is the consecutive-failure run that opens a
-	// peer's circuit breaker (default 5; negative disables breaking).
+	// peer's circuit breaker (default 5).
 	BreakerThreshold int
 	// BreakerCooldown is the open breaker's pause before its half-open
 	// trial window, jittered over [0.5, 1]× per breaker (default
@@ -85,19 +80,12 @@ type RouterConfig struct {
 	BreakerCooldown time.Duration
 	// HedgeDelay is how long a read-path forward's first attempt may
 	// stay unanswered before a hedge launches at the ring successor
-	// (default 20ms; negative disables hedging). An open owner breaker
-	// skips the wait entirely and goes straight to the successor.
+	// (default 20ms). An open owner breaker skips the wait entirely and
+	// goes straight to the successor.
 	HedgeDelay time.Duration
-	// MaxStaleness is how many records behind its reported commit
-	// frontier a follower may be and still receive hedged reads; the
-	// prober's last health report drives the skip. 0 uses the default
-	// (512); negative disables the router-side skip (the follower's
-	// own guard still refuses). Keep it aligned with the cluster
-	// Config's MaxStaleness.
-	MaxStaleness int64
 	// Budget splits a forward's context deadline across its attempts;
-	// zero fields get the auth.DeadlineBudget defaults (3 attempts,
-	// 50ms floor, 2s default allowance).
+	// zero fields get the auth.DeadlineBudget defaults (50ms floor, 2s
+	// default allowance).
 	Budget auth.DeadlineBudget
 	// ProbeInterval paces the background prober Start launches
 	// (default 250ms). Each probe is also bounded by one interval.
@@ -105,6 +93,10 @@ type RouterConfig struct {
 	// Seed drives breaker cooldown jitter (0 uses a fixed default).
 	Seed uint64
 }
+
+// txTTL bounds how long a begun-but-unfinished forwarded transaction
+// is held before it is abandoned.
+const txTTL = 30 * time.Second
 
 type authTxKey struct {
 	id   auth.ClientID
@@ -128,26 +120,20 @@ type pendingRemapTx struct {
 
 // NewRouter builds a router over cfg.ClientPeers.
 func NewRouter(cfg RouterConfig) *Router {
-	if cfg.TxTTL <= 0 {
-		cfg.TxTTL = 30 * time.Second
-	}
 	if cfg.Self >= len(cfg.ClientPeers) {
 		cfg.Self = -1
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = auth.DialRelay
 	}
-	if cfg.BreakerThreshold == 0 {
+	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 5
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 500 * time.Millisecond
 	}
-	if cfg.HedgeDelay == 0 {
+	if cfg.HedgeDelay <= 0 {
 		cfg.HedgeDelay = 20 * time.Millisecond
-	}
-	if cfg.MaxStaleness == 0 {
-		cfg.MaxStaleness = 512
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
@@ -157,18 +143,16 @@ func NewRouter(cfg RouterConfig) *Router {
 	}
 	cfg.Budget = cfg.Budget.WithBudgetDefaults()
 	r := &Router{
-		cfg:    cfg,
-		ring:   NewRing(len(cfg.ClientPeers), cfg.VNodes),
-		health: newHealthTracker(len(cfg.ClientPeers)),
-		relays: make(map[int]*auth.RelayClient),
-		auths:  make(map[authTxKey]pendingAuthTx),
-		remaps: make(map[auth.ClientID]pendingRemapTx),
+		cfg:      cfg,
+		ring:     NewRing(len(cfg.ClientPeers)),
+		breakers: make([]*breaker, len(cfg.ClientPeers)),
+		health:   newHealthTracker(len(cfg.ClientPeers)),
+		relays:   make(map[int]*auth.RelayClient),
+		auths:    make(map[authTxKey]pendingAuthTx),
+		remaps:   make(map[auth.ClientID]pendingRemapTx),
 	}
-	if cfg.BreakerThreshold > 0 {
-		r.breakers = make([]*breaker, len(cfg.ClientPeers))
-		for i := range r.breakers {
-			r.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Seed+uint64(i))
-		}
+	for i := range r.breakers {
+		r.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Seed+uint64(i))
 	}
 	return r
 }
@@ -183,10 +167,7 @@ func (r *Router) Peers() []PeerStatus {
 	out := make([]PeerStatus, len(r.cfg.ClientPeers))
 	for i := range out {
 		out[i] = r.health.status(i)
-		out[i].Breaker = breakerClosed.String()
-		if r.breakers != nil {
-			out[i].Breaker = r.breakers[i].State(now).String()
-		}
+		out[i].Breaker = r.breakers[i].State(now).String()
 	}
 	return out
 }
@@ -251,9 +232,7 @@ func (r *Router) probeOne(ctx context.Context, node int) {
 		h, rtt, err = rc.Probe(pctx)
 		if err == nil {
 			r.health.observe(node, rtt, h, time.Now())
-			if r.breakers != nil {
-				r.breakers[node].Success()
-			}
+			r.breakers[node].Success()
 			return
 		}
 		err = classifyAttempt(pctx, ctx, "", err)
@@ -303,18 +282,15 @@ func (r *Router) readTargets(cands []int) []int {
 		if node == r.cfg.Self {
 			continue
 		}
-		if r.breakers != nil && !r.breakers[node].Allow(now) {
+		if !r.breakers[node].Allow(now) {
 			continue
 		}
-		if i > 0 && r.cfg.MaxStaleness > 0 {
-			if lag, known := r.health.staleness(node); known && lag > uint64(r.cfg.MaxStaleness) {
+		if i > 0 {
+			if lag, known := r.health.staleness(node); known && lag > maxStaleness {
 				continue
 			}
 		}
 		out = append(out, node)
-	}
-	if r.cfg.HedgeDelay < 0 && len(out) > 1 {
-		out = out[:1]
 	}
 	return out
 }
@@ -547,9 +523,6 @@ func classifyDial(parent context.Context, id string, node int, err error) error 
 // redial the drop forces produces clean evidence on the next attempt
 // either way.
 func (r *Router) account(node int, err error) {
-	if r.breakers == nil {
-		return
-	}
 	switch {
 	case err == nil:
 		r.breakers[node].Success()
@@ -598,7 +571,7 @@ func (r *Router) BeginRemapTx(ctx context.Context, id auth.ClientID) (*auth.Rema
 	if owner == r.cfg.Self && r.cfg.Local != nil {
 		return r.cfg.Local.BeginRemapTx(ctx, id)
 	}
-	if r.breakers != nil && !r.breakers[owner].Allow(time.Now()) {
+	if !r.breakers[owner].Allow(time.Now()) {
 		return nil, unavailErrf(string(id), "node %d circuit open; key updates do not fail over", owner)
 	}
 	actx, cancel := r.cfg.Budget.Carve(ctx, 1)
@@ -747,10 +720,10 @@ func (r *Router) drop(owner int, rc *auth.RelayClient, err error) {
 }
 
 // sweepLocked abandons forwarded transactions whose second half never
-// arrived within TxTTL. Callers hold r.mu.
+// arrived within txTTL. Callers hold r.mu.
 func (r *Router) sweepLocked(now time.Time) {
 	for k, p := range r.auths {
-		if now.Sub(p.at) > r.cfg.TxTTL {
+		if now.Sub(p.at) > txTTL {
 			delete(r.auths, k)
 			tx := p.tx
 			r.wg.Add(1)
@@ -761,7 +734,7 @@ func (r *Router) sweepLocked(now time.Time) {
 		}
 	}
 	for k, p := range r.remaps {
-		if now.Sub(p.at) > r.cfg.TxTTL {
+		if now.Sub(p.at) > txTTL {
 			delete(r.remaps, k)
 			tx := p.tx
 			r.wg.Add(1)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/wal"
 )
@@ -100,9 +99,8 @@ func TestWALSurvivesShortWrites(t *testing.T) {
 	fs := NewFS(nil, FSPlan{ShortWriteProb: 0.5, CrashAtByte: -1, Seed: 4})
 	fs.SetArmed(false) // open cleanly, then start the storm
 	w, err := wal.Open(dir, wal.Options{
-		FS:            fs,
-		FlushInterval: 100 * time.Microsecond,
-		FlushBatch:    4,
+		FS:         fs,
+		FlushBatch: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/crp"
 )
@@ -21,20 +20,10 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment file once the current
 	// one reaches this size. Default 4 MiB.
 	SegmentBytes int64
-	// FlushInterval caps how long the writer spends accumulating one
-	// batch under sustained fan-in. The writer never idles waiting
-	// for records — a batch commits as soon as the queue empties — so
-	// the interval binds only when enough concurrent appenders keep
-	// the queue non-empty without ever filling FlushBatch. Default
-	// 2 ms.
-	FlushInterval time.Duration
-	// FlushBatch fsyncs early once this many records are queued, so a
-	// burst pays one fsync per batch rather than one per record.
+	// FlushBatch caps how many queued records one write+fsync commits,
+	// so a burst pays one fsync per batch rather than one per record.
 	// Default 64. 1 degenerates to fsync-per-record.
 	FlushBatch int
-	// NoSync skips fsync entirely (benchmark baselines and tests that
-	// measure the batching machinery alone — never production).
-	NoSync bool
 	// FS substitutes the filesystem under the segment files. nil means
 	// the host filesystem; fault-injection tests supply a failing one.
 	FS FS
@@ -43,9 +32,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 2 * time.Millisecond
 	}
 	if o.FlushBatch <= 0 {
 		o.FlushBatch = 64
@@ -346,9 +332,7 @@ func (w *WAL) run() {
 	// Close drained the queue; make whatever the buffer still held
 	// durable and release the file.
 	w.bw.flush()
-	if !w.opt.NoSync {
-		w.f.Sync()
-	}
+	w.f.Sync()
 	w.f.Close()
 	// Detach every subscriber: the log is done, there is nothing more
 	// to stream.
@@ -360,20 +344,17 @@ func (w *WAL) run() {
 	w.subMu.Unlock()
 }
 
-// gather accumulates the requests already queued behind first, up to
-// FlushBatch records or FlushInterval of accumulation. It never idles
-// waiting for stragglers: appenders block until their batch commits,
-// so a request that isn't queued yet cannot arrive until this batch
-// finishes — the writer commits the moment the queue empties. Under
-// concurrent load the batch still grows naturally, because new
-// appenders queue while the previous batch's fsync is in flight.
+// gather drains the requests already queued behind first, up to
+// FlushBatch records. It never waits for stragglers: appenders block
+// until their batch commits, so a request that isn't queued yet cannot
+// arrive until this batch finishes — the writer commits the moment the
+// queue empties. Under concurrent load the batch still grows, because
+// new appenders queue while the previous batch's fsync is in flight.
 func (w *WAL) gather(first *request) []*request {
 	batch := []*request{first}
-	if first.rotate || w.opt.FlushBatch <= 1 {
+	if first.rotate {
 		return batch
 	}
-	deadline := time.NewTimer(w.opt.FlushInterval)
-	defer deadline.Stop()
 	for len(batch) < w.opt.FlushBatch {
 		select {
 		case req, ok := <-w.reqs:
@@ -384,8 +365,6 @@ func (w *WAL) gather(first *request) []*request {
 			if req.rotate {
 				return batch
 			}
-		case <-deadline.C:
-			return batch
 		default:
 			// Queue empty: commit what we have.
 			return batch
@@ -419,10 +398,8 @@ func (w *WAL) commit(batch []*request) error {
 		w.repair(pre)
 		return fmt.Errorf("wal: write segment: %w", err)
 	}
-	if !w.opt.NoSync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync segment: %w", err)
-		}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync segment: %w", err)
 	}
 	w.publish(batch)
 	if rotate || w.size >= w.opt.SegmentBytes {

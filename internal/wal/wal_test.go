@@ -2,21 +2,23 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/crp"
 )
 
-// fastOpts keeps group-commit latency negligible in tests.
+// fastOpts caps group-commit batches at 8 records, so the small
+// workloads here still span several batches.
 func fastOpts() Options {
-	return Options{FlushInterval: 200 * time.Microsecond, FlushBatch: 8}
+	return Options{FlushBatch: 8}
 }
 
 func sampleRecords() []*Record {
@@ -147,6 +149,155 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 			t.Fatalf("client %s: record out of order: got seq %d, want %d", rec.ClientID, rec.NextID, next[rec.ClientID])
 		}
 		next[rec.ClientID]++
+	}
+}
+
+// gateFS parks the first segment Sync after arm on a gate and, from
+// arm on, counts Syncs and the frames each segment write carries. One
+// commit is one write and one Sync, so the counts are the writer's
+// batches.
+type gateFS struct {
+	FS
+	parked  chan struct{}
+	release chan struct{}
+
+	mu       sync.Mutex
+	park     bool
+	counting bool
+	syncs    int
+	batches  []int
+}
+
+func newGateFS() *gateFS {
+	return &gateFS{FS: osFS{}, parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gateFS) arm() {
+	g.mu.Lock()
+	g.park, g.counting = true, true
+	g.mu.Unlock()
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	File
+	g *gateFS
+}
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	f.g.mu.Lock()
+	if f.g.counting {
+		frames := 0
+		for rest := p; len(rest) >= frameHeader; frames++ {
+			rest = rest[frameHeader+int(binary.LittleEndian.Uint32(rest[:4])):]
+		}
+		f.g.batches = append(f.g.batches, frames)
+	}
+	f.g.mu.Unlock()
+	return f.File.Write(p)
+}
+
+func (f *gateFile) Sync() error {
+	f.g.mu.Lock()
+	park := f.g.park
+	f.g.park = false
+	if f.g.counting {
+		f.g.syncs++
+	}
+	f.g.mu.Unlock()
+	if park {
+		f.g.parked <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Sync()
+}
+
+// TestGroupCommitBatchesQueuedAppends pins the group-commit writer by
+// counting fsyncs, not time: appends that queue while a batch's fsync
+// is in flight commit together behind it, FlushBatch at a time.
+func TestGroupCommitBatchesQueuedAppends(t *testing.T) {
+	const flushBatch = 8
+	for _, queued := range []int{5, 20} {
+		t.Run(fmt.Sprintf("queued=%d", queued), func(t *testing.T) {
+			dir := t.TempDir()
+			g := newGateFS()
+			w, err := Open(dir, Options{FlushBatch: flushBatch, FS: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.arm()
+			var wg sync.WaitGroup
+			appendAsync := func(rec *Record) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := w.Append(rec); err != nil {
+						t.Errorf("append %+v: %v", rec, err)
+					}
+				}()
+			}
+			appendAsync(&Record{Type: TypeCounter, ClientID: "dev-0", NextID: 0})
+			<-g.parked
+			// dev-0's second record queues behind its first; every other
+			// client has one record.
+			appendAsync(&Record{Type: TypeCounter, ClientID: "dev-0", NextID: 1})
+			for i := 1; i < queued; i++ {
+				appendAsync(&Record{Type: TypeCounter, ClientID: fmt.Sprintf("dev-%d", i), NextID: 0})
+			}
+			for len(w.reqs) < queued {
+				runtime.Gosched()
+			}
+			close(g.release)
+			wg.Wait()
+
+			g.mu.Lock()
+			syncs, batches := g.syncs, append([]int(nil), g.batches...)
+			g.mu.Unlock()
+			wantSyncs := 1 + (queued+flushBatch-1)/flushBatch
+			if syncs != wantSyncs {
+				t.Fatalf("%d fsyncs for 1+%d appends, want %d (batches %v)", syncs, queued, wantSyncs, batches)
+			}
+			if len(batches) != syncs {
+				t.Fatalf("%d segment writes for %d fsyncs: %v", len(batches), syncs, batches)
+			}
+			total := 0
+			for _, n := range batches {
+				if n < 1 || n > flushBatch {
+					t.Fatalf("batch of %d records, want 1..%d: %v", n, flushBatch, batches)
+				}
+				total += n
+			}
+			if total != 1+queued {
+				t.Fatalf("batches %v hold %d records, want %d", batches, total, 1+queued)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			w2, err := Open(dir, fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			got := replayAll(t, w2)
+			if len(got) != 1+queued {
+				t.Fatalf("replayed %d records, want %d", len(got), 1+queued)
+			}
+			next := map[string]uint64{}
+			for _, rec := range got {
+				if rec.NextID != next[rec.ClientID] {
+					t.Fatalf("client %s: record out of order: got %d, want %d", rec.ClientID, rec.NextID, next[rec.ClientID])
+				}
+				next[rec.ClientID]++
+			}
+		})
 	}
 }
 

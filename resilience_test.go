@@ -132,9 +132,8 @@ func newResilientRouter(cn *clusterNodes, stalls []*fault.Stall) *authenticache.
 		BreakerCooldown:  150 * time.Millisecond,
 		ProbeInterval:    30 * time.Millisecond,
 		Budget: authenticache.DeadlineBudget{
-			Attempts: 2,
-			Floor:    50 * time.Millisecond,
-			Default:  400 * time.Millisecond,
+			Floor:   50 * time.Millisecond,
+			Default: 400 * time.Millisecond,
 		},
 		Seed: chaosSeed,
 	})
@@ -160,7 +159,7 @@ func TestRouterHedgedFailover(t *testing.T) {
 	})
 	r := authenticache.NewResponder(id, authenticache.NewSimDevice(m), key)
 
-	owners := authenticache.NewRing(3, 0).Owners(string(id), 2)
+	owners := authenticache.NewRing(3).Owners(string(id), 2)
 	owner, successor := owners[0], owners[1]
 	if owner != router.Owner(id) {
 		t.Fatalf("ring disagrees with router: owner %d vs %d", owners[0], router.Owner(id))

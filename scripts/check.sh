@@ -4,6 +4,12 @@
 # Run from the repo root (make check does).
 set -eu
 
+# Build outputs and the bench smokes go to a temporary directory: the
+# tracked BENCH_*.json hold full runs, and a check must leave the tree
+# as it found it.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== go vet =="
 go vet ./...
 
@@ -12,6 +18,12 @@ go build ./...
 
 echo "== authlint (invariant analyzers) =="
 go run ./cmd/authlint ./...
+
+# The standalone loader skips _test.go files; go vet hands the
+# analyzers every test file too, as CI's vettool step does.
+echo "== authlint as vettool (test files included) =="
+go build -o "$tmp/authlint" ./cmd/authlint
+go vet -vettool="$tmp/authlint" ./...
 
 echo "== authlint latency budget (suite < 250ms) =="
 sh scripts/lint_budget.sh 250
@@ -55,10 +67,7 @@ go test -run '^$' -fuzz '^FuzzWireServerV2$' -fuzztime 5s ./internal/auth/
 echo "== wire v2 zero-alloc gate =="
 go test -count=1 -run 'TestVerifyPathZeroAlloc' ./internal/wire/
 
-# The bench smokes write to a temporary file: the tracked BENCH_*.json
-# hold full runs, and a check must leave the tree as it found it.
-smoke="$(mktemp)"
-trap 'rm -f "$smoke"' EXIT
+smoke="$tmp/smoke.json"
 
 echo "== wire bench smoke (fixed 50 iterations) =="
 sh scripts/bench_wire.sh 50 "$smoke"
