@@ -74,8 +74,11 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 		CrashAtByte:    -1,
 		Seed:           chaosSeed,
 	})
+	// The default 256-bit challenges: the impostor gate asserts zero
+	// accepts, which a 64-bit challenge cannot back (an impostor passes
+	// one with probability 4.4e-4 per attempt, a 256-bit one with
+	// 3.4e-12).
 	cfg := authenticache.DefaultServerConfig()
-	cfg.ChallengeBits = 64
 	walOpt := authenticache.WALOptions{
 		FS:         ffs,
 		FlushBatch: 8,

@@ -173,54 +173,7 @@ func benchClusterFailover(b *testing.B, stallOwner bool) {
 	}
 
 	const nodeCount = 3
-	repl := make([]net.Listener, nodeCount)
-	client := make([]net.Listener, nodeCount)
-	replAddrs := make([]string, nodeCount)
-	clientAddrs := make([]string, nodeCount)
-	for i := 0; i < nodeCount; i++ {
-		for _, slot := range []*net.Listener{&repl[i], &client[i]} {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			*slot = l
-		}
-		replAddrs[i] = repl[i].Addr().String()
-		clientAddrs[i] = client[i].Addr().String()
-	}
-	dir := b.TempDir()
-	nodes := make([]*authenticache.ClusterNode, nodeCount)
-	for i := range nodes {
-		n, err := authenticache.OpenClusterNode(authenticache.ClusterConfig{
-			NodeIndex:         i,
-			Peers:             replAddrs,
-			ClientPeers:       clientAddrs,
-			Dir:               filepath.Join(dir, fmt.Sprintf("node-%d", i)),
-			Auth:              acfg,
-			Seed:              4242 + uint64(i),
-			ReplicaAcks:       1,
-			AckTimeout:        5 * time.Second,
-			HeartbeatInterval: 25 * time.Millisecond,
-			LeaseTimeout:      5 * time.Second,
-			RedialInterval:    25 * time.Millisecond,
-			ReplListener:      repl[i],
-			WAL:               authenticache.WALOptions{FlushBatch: 8},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := n.Start(dctx); err != nil {
-			b.Fatal(err)
-		}
-		nodes[i] = n
-		defer n.Close()
-		ws, err := n.NewWireServer(authenticache.WireConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		go ws.Serve(dctx, client[i])
-		defer ws.Close()
-	}
+	nodes, clientAddrs := startClientFleet(b, acfg, nodeCount)
 	primary := nodes[0]
 
 	stalls := make([]*fault.Stall, nodeCount)
@@ -297,6 +250,141 @@ func benchClusterFailover(b *testing.B, stallOwner bool) {
 	b.ReportMetric(float64(lat[len(lat)/2])/1e6, "p50_ms")
 	b.ReportMetric(float64(lat[len(lat)*99/100])/1e6, "p99_ms")
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
+}
+
+// BenchmarkClusterRemap measures a routed key update end to end: the
+// router relays the opening half to the device's owner, the device
+// derives the new key from the remap challenge, and the router relays
+// the commit.
+//
+//   - primary-owned: the owner is the primary, which runs the update
+//     itself (router → primary);
+//   - follower-owned: the owner is a follower, which forwards the
+//     update whole to the primary (router → follower → primary), so
+//     the remap challenge crosses one more hop.
+//
+// Reserved-plane challenges burn no registry pairs, so any iteration
+// count works; p50_ms is the median key update.
+func BenchmarkClusterRemap(b *testing.B) {
+	b.Run("primary-owned", func(b *testing.B) { benchClusterRemap(b, true) })
+	b.Run("follower-owned", func(b *testing.B) { benchClusterRemap(b, false) })
+}
+
+func benchClusterRemap(b *testing.B, primaryOwned bool) {
+	// perfbench's fleet geometry: 1 MiB caches, authentication planes
+	// at 660 and 680 mV, the reserved plane at 700.
+	const lines = 16384
+	nodes, clientAddrs := startClientFleet(b, authenticache.DefaultServerConfig(), 3)
+	router := authenticache.NewRouter(authenticache.RouterConfig{
+		ClientPeers: clientAddrs,
+		Self:        -1,
+		Seed:        4242,
+	})
+	defer router.Close()
+	router.Start(dctx)
+
+	var id authenticache.ClientID
+	for i := 0; id == ""; i++ {
+		cand := authenticache.ClientID(fmt.Sprintf("bench-remap-%d", i))
+		if (router.Owner(cand) == 0) == primaryOwned {
+			id = cand
+		}
+	}
+	m := chaosMap(lines, 100, 4242, 660, 680, 700)
+	key, err := nodes[0].Server().Enroll(dctx, id, m, 700)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := authenticache.NewResponder(id, authenticache.NewSimDevice(m), key)
+	for _, n := range nodes {
+		for !n.Server().Enrolled(id) {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	remap := func() error {
+		req, err := router.BeginRemapTx(dctx, id)
+		if err != nil {
+			return err
+		}
+		derr := r.HandleRemap(req)
+		if err := router.FinishRemapTx(dctx, id, derr == nil); err != nil {
+			return err
+		}
+		return derr
+	}
+	// Warm the relay connections and the device's reserved-plane field.
+	if err := remap(); err != nil {
+		b.Fatal(err)
+	}
+
+	lat := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if err := remap(); err != nil {
+			b.Fatalf("key update %d: %v", i, err)
+		}
+		lat = append(lat, time.Since(start))
+	}
+	b.StopTimer()
+	sort.Slice(lat, func(a, c int) bool { return lat[a] < lat[c] })
+	b.ReportMetric(float64(lat[len(lat)/2])/1e6, "p50_ms")
+}
+
+// startClientFleet starts a cluster of nodeCount nodes, each serving
+// clients on its own listener as a router reaches them, and returns
+// the nodes (node 0 primary) with their client addresses. Everything
+// closes when the benchmark ends.
+func startClientFleet(b *testing.B, acfg authenticache.ServerConfig, nodeCount int) ([]*authenticache.ClusterNode, []string) {
+	repl := make([]net.Listener, nodeCount)
+	client := make([]net.Listener, nodeCount)
+	replAddrs := make([]string, nodeCount)
+	clientAddrs := make([]string, nodeCount)
+	for i := 0; i < nodeCount; i++ {
+		for _, slot := range []*net.Listener{&repl[i], &client[i]} {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			*slot = l
+		}
+		replAddrs[i] = repl[i].Addr().String()
+		clientAddrs[i] = client[i].Addr().String()
+	}
+	dir := b.TempDir()
+	nodes := make([]*authenticache.ClusterNode, nodeCount)
+	for i := range nodes {
+		n, err := authenticache.OpenClusterNode(authenticache.ClusterConfig{
+			NodeIndex:         i,
+			Peers:             replAddrs,
+			ClientPeers:       clientAddrs,
+			Dir:               filepath.Join(dir, fmt.Sprintf("node-%d", i)),
+			Auth:              acfg,
+			Seed:              4242 + uint64(i),
+			ReplicaAcks:       1,
+			AckTimeout:        5 * time.Second,
+			HeartbeatInterval: 25 * time.Millisecond,
+			LeaseTimeout:      5 * time.Second,
+			RedialInterval:    25 * time.Millisecond,
+			ReplListener:      repl[i],
+			WAL:               authenticache.WALOptions{FlushBatch: 8},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := n.Start(dctx); err != nil {
+			b.Fatal(err)
+		}
+		nodes[i] = n
+		b.Cleanup(func() { n.Close() })
+		ws, err := n.NewWireServer(authenticache.WireConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		go ws.Serve(dctx, client[i])
+		b.Cleanup(func() { ws.Close() })
+	}
+	return nodes, clientAddrs
 }
 
 const clusterBenchLines = 2048

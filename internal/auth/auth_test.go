@@ -317,6 +317,47 @@ func TestCompleteRemapFailureKeepsOldKey(t *testing.T) {
 	}
 }
 
+// A simulated device keeps one logical field per plane: a key update
+// replaces the fields of the old key instead of adding to them.
+func TestSimDeviceKeepsOneFieldPerPlane(t *testing.T) {
+	cfg := DefaultConfig()
+	m := testMap(t, 4096, 40, 16, 660, 680, 700)
+	srv, resp := enrolledPair(t, cfg, m, m, 700)
+	dev := resp.dev.(*SimDevice)
+	for update := 0; update < 20; update++ {
+		req, err := srv.BeginRemap(ctx, "dev-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.HandleRemap(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.CompleteRemap(ctx, "dev-1", true); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			ch, err := srv.IssueChallenge(ctx, "dev-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer, err := resp.Respond(ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := srv.Verify(ctx, "dev-1", ch.ID, answer); err != nil || !ok {
+				t.Fatalf("update %d, auth %d: ok=%v err=%v", update, i, ok, err)
+			}
+		}
+		dev.mu.Lock()
+		fields, defaults := len(dev.fieldCache), len(dev.defaultCache)
+		dev.mu.Unlock()
+		if fields > 2 || defaults > 1 {
+			t.Fatalf("after update %d: %d logical and %d default fields, want at most 2 and 1",
+				update, fields, defaults)
+		}
+	}
+}
+
 // When the pair space of a tiny map runs dry, the server must fail
 // with ErrExhausted — never hang retrying or reissue burned pairs.
 func TestChallengeSpaceExhaustion(t *testing.T) {

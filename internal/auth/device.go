@@ -79,22 +79,24 @@ type SimDevice struct {
 	fieldMap *errormap.Map
 
 	mu sync.Mutex
-	// fieldCache caches logical distance fields per (key, vdd).
-	fieldCache map[simCacheKey]*errormap.DistanceField
+	// fieldCache holds, per vdd, the logical distance field under the
+	// last key a challenge used there. A field under another key
+	// replaces it, so a key update leaves no dead field behind.
+	fieldCache map[int]keyedField
 	// defaultCache caches identity-mapping fields per vdd.
 	defaultCache map[int]*errormap.DistanceField
 }
 
-type simCacheKey struct {
-	key mapkey.Key
-	vdd int
+type keyedField struct {
+	key   mapkey.Key
+	field *errormap.DistanceField
 }
 
 // NewSimDevice wraps an as-measured error map.
 func NewSimDevice(m *errormap.Map) *SimDevice {
 	return &SimDevice{
 		fieldMap:     m,
-		fieldCache:   make(map[simCacheKey]*errormap.DistanceField),
+		fieldCache:   make(map[int]keyedField),
 		defaultCache: make(map[int]*errormap.DistanceField),
 	}
 }
@@ -103,18 +105,17 @@ func NewSimDevice(m *errormap.Map) *SimDevice {
 func (d *SimDevice) Geometry() errormap.Geometry { return d.fieldMap.Geometry() }
 
 func (d *SimDevice) logicalField(key mapkey.Key, vdd int) (*errormap.DistanceField, error) {
-	ck := simCacheKey{key: key, vdd: vdd}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if f, ok := d.fieldCache[ck]; ok {
-		return f, nil
+	if kf, ok := d.fieldCache[vdd]; ok && kf.key == key {
+		return kf.field, nil
 	}
 	phys := d.fieldMap.Plane(vdd)
 	if phys == nil {
 		return nil, authErrf(CodeBadPlane, "", "%w: device has no plane at %d mV", ErrBadPlane, vdd)
 	}
 	f := LogicalPlane(phys, key, vdd).DistanceTransform()
-	d.fieldCache[ck] = f
+	d.fieldCache[vdd] = keyedField{key: key, field: f}
 	return f, nil
 }
 

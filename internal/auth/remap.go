@@ -12,8 +12,8 @@ import (
 
 // RemapRequest is the server→client key-update transaction.
 type RemapRequest struct {
-	Challenge *crp.Challenge `json:"challenge"`
-	Helper    ecc.HelperData `json:"helper"`
+	Challenge *crp.Challenge
+	Helper    ecc.HelperData
 }
 
 // BeginRemap starts a key update for the client using a reserved

@@ -96,7 +96,7 @@ func (c WireConfig) Validate() error {
 //	               C→S response(challenge_id, bits)
 //	               S→C verdict(accepted, remap_advised, confirm) | error
 //	remap:         C→S remap(client_id)
-//	               S→C remap_challenge(JSON request) | error
+//	               S→C remap_challenge(challenge, helper data) | error
 //	               C→S remap_done(success)
 //	               S→C remap_ack | error
 //

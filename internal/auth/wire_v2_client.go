@@ -2,8 +2,8 @@ package auth
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/crp"
+	"repro/internal/ecc"
 	"repro/internal/wire"
 )
 
@@ -263,7 +264,8 @@ func expectVerdict(b *wire.Buf, err error) (wire.Verdict, error) {
 	return wire.Verdict{}, authErrf(CodeInvalidRequest, "", "auth: expected verdict, got %q", b.Op)
 }
 
-// expectRemapChallenge decodes the JSON remap-challenge payload; error
+// expectRemapChallenge decodes a remap-challenge frame into a fresh
+// request, copying the helper offset out of the pooled buffer; error
 // semantics as expectChallenge. It consumes b.
 func expectRemapChallenge(b *wire.Buf, err error) (*RemapRequest, error) {
 	if err != nil {
@@ -274,10 +276,12 @@ func expectRemapChallenge(b *wire.Buf, err error) (*RemapRequest, error) {
 	case wire.OpError:
 		return nil, frameErr(b)
 	case wire.OpRemapChallenge:
-		req := new(RemapRequest)
-		if err := json.Unmarshal(b.B, req); err != nil {
+		req := &RemapRequest{Challenge: new(crp.Challenge)}
+		keyBits, offset, err := wire.DecodeRemapChallenge(b.B, req.Challenge)
+		if err != nil {
 			return nil, authErrf(CodeInvalidRequest, "", "auth: bad remap challenge payload: %v", err)
 		}
+		req.Helper = ecc.HelperData{Offset: bytes.Clone(offset), KeyBits: keyBits}
 		return req, nil
 	}
 	return nil, authErrf(CodeInvalidRequest, "", "auth: expected remap_challenge, got %q", b.Op)

@@ -3,7 +3,6 @@ package auth
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -293,22 +292,16 @@ func (c *v2conn) streamAuthenticate(ctx context.Context, st *v2stream, id Client
 	c.fw.send(out)
 }
 
-// streamRemap runs one key-update transaction. The remap challenge
-// payload is JSON: the key-update path is cold and the helper-data
-// structure is deeply nested.
+// streamRemap runs one key-update transaction: remap challenge out,
+// remap_done in, remap_ack out.
 func (c *v2conn) streamRemap(ctx context.Context, st *v2stream, id ClientID) {
 	req, err := c.ws.backend.BeginRemapTx(ctx, id)
 	if err != nil {
 		c.sendErrV2(st.id, err)
 		return
 	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		c.sendErrV2(st.id, authErrf(CodeInternal, id, "encoding remap challenge: %v", err))
-		return
-	}
 	out := wire.GetBuf()
-	out.B = wire.AppendRaw(out.B[:0], st.id, wire.OpRemapChallenge, payload)
+	out.B = wire.AppendRemapChallenge(out.B[:0], st.id, req.Challenge, req.Helper.KeyBits, req.Helper.Offset)
 	if !c.fw.send(out) {
 		return
 	}

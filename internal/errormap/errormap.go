@@ -21,8 +21,8 @@
 //     firmware self-tests neighbouring lines (paper Section 5.4). It
 //     also reports how many cells were probed, which drives the
 //     performance model of Figures 13–14.
-//   - DistanceTransform runs a multi-source BFS producing all nearest
-//     distances in O(n), which the server uses to evaluate many
+//   - DistanceTransform runs a two-pass raster transform producing all
+//     nearest distances in O(n), which the server uses to evaluate many
 //     challenges against a stored map.
 package errormap
 
@@ -316,44 +316,66 @@ type DistanceField struct {
 	dist []int32
 }
 
-// DistanceTransform computes the full nearest-error distance field via
-// multi-source BFS in O(n). It returns nil if the plane has no errors.
+// DistanceTransform computes the full nearest-error distance field in
+// O(n) with the two-pass raster L1 transform: a forward pass takes
+// each cell's distance from the cell above, then from the cell to its
+// left; a backward pass from below, then from the right. It returns
+// nil if the plane has no errors.
+//
+// Two passes are exact on a full rectangle, so they run over the
+// padded Width × Height grid; the padding past a partial last row
+// holds no error and is sliced off. The result is the Manhattan
+// distance to the nearest error, which is also the shortest path
+// through populated cells: every row but the last is full, so a
+// monotone path between two populated cells always exists.
 func (p *Plane) DistanceTransform() *DistanceField {
 	if p.n == 0 {
 		return nil
 	}
 	g := p.geo
-	df := &DistanceField{geo: g, dist: make([]int32, g.Lines)}
-	for i := range df.dist {
-		df.dist[i] = -1
+	// A single row needs no padding, whatever width it claims.
+	w := min(g.Width, g.Lines)
+	h := (g.Lines + w - 1) / w
+	dist := make([]int32, w*h)
+	far := int32(w + h) // beyond any distance on the grid
+	for i := range dist {
+		dist[i] = far
 	}
-	queue := make([]int, 0, g.Lines)
-	for _, line := range p.Errors() {
-		df.dist[line] = 0
-		queue = append(queue, line)
-	}
-	w := g.Width
-	for head := 0; head < len(queue); head++ {
-		line := queue[head]
-		d := df.dist[line] + 1
-		x, y := line%w, line/w
-		push := func(nx, ny int) {
-			if nx < 0 || nx >= w || ny < 0 {
-				return
-			}
-			nl := ny*w + nx
-			if nl >= g.Lines || df.dist[nl] >= 0 {
-				return
-			}
-			df.dist[nl] = d
-			queue = append(queue, nl)
+	for wi, word := range p.bits {
+		for word != 0 {
+			dist[wi*64+trailingZeros64(word)] = 0
+			word &= word - 1
 		}
-		push(x-1, y)
-		push(x+1, y)
-		push(x, y-1)
-		push(x, y+1)
 	}
-	return df
+	// Each sweep carries the cell it just settled in run, so a step
+	// reads only the cell and its neighbour in the adjacent row. Row 0
+	// (and row h-1 going back) reads itself as that neighbour, which
+	// never lowers a cell.
+	for y := 0; y < h; y++ {
+		row := dist[y*w : (y+1)*w]
+		up := row
+		if y > 0 {
+			up = dist[(y-1)*w : y*w]
+		}
+		run := far
+		for x := range row {
+			run = min(row[x], up[x]+1, run+1)
+			row[x] = run
+		}
+	}
+	for y := h - 1; y >= 0; y-- {
+		row := dist[y*w : (y+1)*w]
+		down := row
+		if y < h-1 {
+			down = dist[(y+1)*w : (y+2)*w]
+		}
+		run := far
+		for x := w - 1; x >= 0; x-- {
+			run = min(row[x], down[x]+1, run+1)
+			row[x] = run
+		}
+	}
+	return &DistanceField{geo: g, dist: dist[:g.Lines]}
 }
 
 // Dist returns the distance from c to the nearest error. Out-of-grid

@@ -1,6 +1,7 @@
 package errormap
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -256,6 +257,42 @@ func TestDistanceTransformMatchesRingSearch(t *testing.T) {
 	}
 }
 
+// TestDistanceTransformMatchesBruteForce checks every line of random
+// planes against the brute-force nearest-error Manhattan distance,
+// over near-square and arbitrary widths (some wider than the plane
+// has lines), most of them with a partial last row.
+func TestDistanceTransformMatchesBruteForce(t *testing.T) {
+	r := rng.New(11)
+	partial := 0
+	for trial := 0; trial < 400; trial++ {
+		lines := 1 + r.Intn(1500)
+		g := NewGeometry(lines)
+		if trial%2 == 1 {
+			g.Width = 1 + r.Intn(lines+8)
+		}
+		if g.Lines%g.Width != 0 {
+			partial++
+		}
+		p := RandomPlane(g, 1+r.Intn(min(lines, 12)), r)
+		errs := p.Errors()
+		df := p.DistanceTransform()
+		for line := 0; line < lines; line++ {
+			c := g.Coord(line)
+			want := math.MaxInt
+			for _, e := range errs {
+				want = min(want, Manhattan(c, g.Coord(e)))
+			}
+			if got := df.DistLine(line); got != want {
+				t.Fatalf("trial %d, %d lines, width %d, %d errors: line %d at %d, want %d",
+					trial, lines, g.Width, len(errs), line, got, want)
+			}
+		}
+	}
+	if partial < 200 {
+		t.Fatalf("only %d of 400 geometries had a partial last row", partial)
+	}
+}
+
 func TestDistanceTransformEmptyPlane(t *testing.T) {
 	if df := NewPlane(NewGeometry(64)).DistanceTransform(); df != nil {
 		t.Fatal("empty plane should have nil distance field")
@@ -382,6 +419,18 @@ func BenchmarkDistanceTransform4MB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.DistanceTransform()
+	}
+}
+
+func BenchmarkDistanceTransform(b *testing.B) {
+	for _, lines := range []int{4096, 16384} {
+		p := RandomPlane(NewGeometry(lines), 100, rng.New(1))
+		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = p.DistanceTransform()
+			}
+		})
 	}
 }
 

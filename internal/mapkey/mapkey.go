@@ -110,7 +110,9 @@ const maxMemoHalfBits = 16
 
 // roundF is the Feistel round function: HMAC-SHA256(roundKey, half)
 // truncated to halfBits. The per-round table is built on the round's
-// first use; afterwards roundF is a slice index.
+// first use; afterwards roundF is a slice index. The build keys one
+// HMAC per round and resets it per entry, which yields the same
+// values as roundFSlow without a fresh HMAC state per entry.
 func (p *Permutation) roundF(round int, half uint64) uint64 {
 	if t := p.memo[round]; t != nil {
 		return t[half]
@@ -119,8 +121,14 @@ func (p *Permutation) roundF(round int, half uint64) uint64 {
 		return p.roundFSlow(round, half)
 	}
 	t := make([]uint64, p.halfMask+1)
+	mac := hmac.New(sha256.New, p.roundKeys[round][:])
+	var in [8]byte
+	var sum [sha256.Size]byte
 	for h := range t {
-		t[h] = p.roundFSlow(round, uint64(h))
+		mac.Reset()
+		binary.LittleEndian.PutUint64(in[:], uint64(h))
+		mac.Write(in[:])
+		t[h] = binary.LittleEndian.Uint64(mac.Sum(sum[:0])) & p.halfMask
 	}
 	p.memo[round] = t
 	return t[half]

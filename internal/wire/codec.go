@@ -172,6 +172,63 @@ func DecodeVerdict(p []byte) (Verdict, error) {
 	return v, nil
 }
 
+// Remap-challenge payload: the challenge layout (u64 id, u32 nbits,
+// nbits × (u32 a, u32 b, u32 vdd_mv)), then the fuzzy-extractor helper
+// data: u32 key bits and the code-offset bytes, which run to the end.
+
+// AppendRemapChallenge appends an OpRemapChallenge frame carrying the
+// reserved-plane challenge and its helper data.
+func AppendRemapChallenge(dst []byte, stream uint32, ch *crp.Challenge, keyBits int, offset []byte) []byte {
+	dst, off := beginFrame(dst, stream, OpRemapChallenge)
+	dst = binary.BigEndian.AppendUint64(dst, ch.ID)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ch.Bits)))
+	for i := range ch.Bits {
+		b := &ch.Bits[i]
+		dst = binary.BigEndian.AppendUint32(dst, uint32(b.A))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(b.B))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(b.VddMV))
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(keyBits))
+	dst = append(dst, offset...)
+	return endFrame(dst, off)
+}
+
+// DecodeRemapChallenge parses an OpRemapChallenge payload into ch,
+// reusing ch.Bits capacity, and returns the helper data's key bits and
+// offset. The offset aliases the payload; copy it to keep it past the
+// frame.
+func DecodeRemapChallenge(p []byte, ch *crp.Challenge) (keyBits int, offset []byte, err error) {
+	if len(p) < 12 {
+		return 0, nil, errTruncated
+	}
+	ch.ID = binary.BigEndian.Uint64(p[0:8])
+	n := int(binary.BigEndian.Uint32(p[8:12]))
+	p = p[12:]
+	if n < 0 || n > maxChallengeBits || len(p) < n*12 {
+		return 0, nil, fmt.Errorf("wire: remap challenge claims %d bits in %d payload bytes", n, len(p)+12)
+	}
+	if cap(ch.Bits) < n {
+		ch.Bits = make([]crp.PairBit, n)
+	}
+	ch.Bits = ch.Bits[:n]
+	for i := 0; i < n; i++ {
+		ch.Bits[i] = crp.PairBit{
+			A:     int(binary.BigEndian.Uint32(p[0:4])),
+			B:     int(binary.BigEndian.Uint32(p[4:8])),
+			VddMV: int(binary.BigEndian.Uint32(p[8:12])),
+		}
+		p = p[12:]
+	}
+	if len(p) < 4 {
+		return 0, nil, errTruncated
+	}
+	keyBits = int(binary.BigEndian.Uint32(p[0:4]))
+	if keyBits == 0 || keyBits > maxChallengeBits {
+		return 0, nil, fmt.Errorf("wire: remap challenge claims %d helper key bits", keyBits)
+	}
+	return keyBits, p[4:], nil
+}
+
 // AppendRemapDone appends an OpRemapDone frame (payload: u8 success).
 func AppendRemapDone(dst []byte, stream uint32, success bool) []byte {
 	dst, off := beginFrame(dst, stream, OpRemapDone)
@@ -197,8 +254,7 @@ func AppendRemapAck(dst []byte, stream uint32) []byte {
 	return endFrame(dst, off)
 }
 
-// AppendRaw appends a frame whose payload the caller already encoded
-// (the remap-challenge JSON body rides in one of these).
+// AppendRaw appends a frame whose payload the caller already encoded.
 func AppendRaw(dst []byte, stream uint32, op Opcode, payload []byte) []byte {
 	dst, off := beginFrame(dst, stream, op)
 	dst = append(dst, payload...)

@@ -48,7 +48,7 @@ const (
 	// OpRemap opens a key-update transaction (payload: client id).
 	OpRemap Opcode = 5
 	// OpRemapChallenge carries the reserved-plane challenge plus
-	// helper data (JSON payload; the key-update path is cold).
+	// helper data.
 	OpRemapChallenge Opcode = 6
 	// OpRemapDone reports the client's key-derivation outcome.
 	OpRemapDone Opcode = 7

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -119,6 +120,82 @@ func TestClientIDAndRemapDoneAndAck(t *testing.T) {
 	}
 	if b.Op != OpRemapAck || len(b.B) != 0 {
 		t.Fatalf("frame 3: %v payload %d", b.Op, len(b.B))
+	}
+}
+
+// testRemapPayload encodes a key update's remap challenge: 640
+// reserved-plane pair bits (128 key bits at repetition 5) and the 80
+// helper offset bytes that mask them.
+func testRemapPayload() (ch *crp.Challenge, offset, payload []byte) {
+	ch = testChallenge(640)
+	for i := range ch.Bits {
+		ch.Bits[i].VddMV = 700
+	}
+	offset = make([]byte, 80)
+	for i := range offset {
+		offset[i] = byte(i*37 + 5)
+	}
+	return ch, offset, AppendRemapChallenge(nil, 9, ch, 128, offset)[HeaderLen:]
+}
+
+func TestRemapChallengeRoundTrip(t *testing.T) {
+	ch, offset, _ := testRemapPayload()
+	b := readOne(t, AppendRemapChallenge(nil, 9, ch, 128, offset))
+	if b.Stream != 9 || b.Op != OpRemapChallenge {
+		t.Fatalf("header = stream %d op %v", b.Stream, b.Op)
+	}
+	if want := 12 + 640*12 + 4 + 80; len(b.B) != want {
+		t.Fatalf("payload is %d bytes, want %d", len(b.B), want)
+	}
+	var got crp.Challenge
+	keyBits, gotOffset, err := DecodeRemapChallenge(b.B, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != ch.ID || len(got.Bits) != len(ch.Bits) {
+		t.Fatalf("decoded id=%d bits=%d", got.ID, len(got.Bits))
+	}
+	for i := range got.Bits {
+		if got.Bits[i] != ch.Bits[i] {
+			t.Fatalf("bit %d: %+v != %+v", i, got.Bits[i], ch.Bits[i])
+		}
+	}
+	if keyBits != 128 || !bytes.Equal(gotOffset, offset) {
+		t.Fatalf("helper: %d key bits, offset %x", keyBits, gotOffset)
+	}
+}
+
+func TestDecodeRemapChallengeRejects(t *testing.T) {
+	_, _, good := testRemapPayload()
+	withU32 := func(at int, v uint32) []byte {
+		p := bytes.Clone(good)
+		binary.BigEndian.PutUint32(p[at:], v)
+		return p
+	}
+	keyAt := 12 + 640*12
+	for name, p := range map[string][]byte{
+		"nbits above cap":     withU32(8, maxChallengeBits+1),
+		"nbits at u32 max":    withU32(8, 0xFFFFFFFF),
+		"nbits past payload":  withU32(8, 641+100),
+		"zero key bits":       withU32(keyAt, 0),
+		"key bits above cap":  withU32(keyAt, maxChallengeBits+1),
+		"key bits at u32 max": withU32(keyAt, 0xFFFFFFFF),
+		// What a server from before the binary payload sends.
+		"JSON request": []byte(`{"challenge":{"id":7,"bits":[{"a":1,"b":2,"vdd_mv":700}]},"helper":{"Offset":"AA==","KeyBits":1}}`),
+	} {
+		var ch crp.Challenge
+		if _, _, err := DecodeRemapChallenge(p, &ch); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// Every cut short of the helper offset is an error, never a panic:
+	// a torn header, fewer pairs than claimed, a missing or torn
+	// key-bit field.
+	for n := 0; n < keyAt+4; n++ {
+		var ch crp.Challenge
+		if _, _, err := DecodeRemapChallenge(good[:n], &ch); err == nil {
+			t.Fatalf("payload cut to %d bytes accepted", n)
+		}
 	}
 }
 

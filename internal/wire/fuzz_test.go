@@ -18,6 +18,7 @@ func FuzzDecoders(f *testing.F) {
 	f.Add(AppendResponse(nil, 1, 9, &resp)[HeaderLen:])
 	f.Add(AppendVerdict(nil, 1, Verdict{Accepted: true, HasConfirm: true})[HeaderLen:])
 	f.Add(AppendError(nil, 1, "internal", "dev", "boom")[HeaderLen:])
+	f.Add(AppendRemapChallenge(nil, 1, testChallenge(5), 1, []byte{0xA5})[HeaderLen:])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, p []byte) {
@@ -30,6 +31,11 @@ func FuzzDecoders(f *testing.F) {
 		var r crp.Response
 		if _, err := DecodeResponse(p, &r); err == nil && len(r.Bits) != (r.N+7)/8 {
 			t.Fatalf("response bits/len mismatch: %d bytes for %d bits", len(r.Bits), r.N)
+		}
+		if keyBits, _, err := DecodeRemapChallenge(p, &ch); err == nil {
+			if len(ch.Bits) > maxChallengeBits || keyBits < 1 || keyBits > maxChallengeBits {
+				t.Fatalf("remap challenge slipped through: %d bits, %d key bits", len(ch.Bits), keyBits)
+			}
 		}
 		DecodeVerdict(p)
 		DecodeError(p)

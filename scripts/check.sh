@@ -64,6 +64,9 @@ go test -run '^$' -fuzz '^FuzzWireServer$' -fuzztime 5s ./internal/auth/
 echo "== wire v2 fuzz smoke (5s) =="
 go test -run '^$' -fuzz '^FuzzWireServerV2$' -fuzztime 5s ./internal/auth/
 
+echo "== wire codec fuzz smoke (5s) =="
+go test -run '^$' -fuzz '^FuzzDecoders$' -fuzztime 5s ./internal/wire/
+
 echo "== wire v2 zero-alloc gate =="
 go test -count=1 -run 'TestVerifyPathZeroAlloc' ./internal/wire/
 
