@@ -15,7 +15,8 @@ import (
 
 // End-to-end test of the shipped binaries: build authd and authcli,
 // start the daemon, authenticate a genuine client, verify an impostor
-// is rejected, and check state persistence across a daemon restart.
+// is rejected, and check that the write-ahead log carries the
+// enrollment across a killed daemon's restart.
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binaries")
@@ -34,10 +35,10 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	}
 
-	statePath := filepath.Join(dir, "state.json")
+	walDir := filepath.Join(dir, "wal")
 	addr := freeAddr(t)
 
-	provisions, stop := startAuthd(t, authd, addr, statePath, "-devices", "1", "-cache", "262144")
+	provisions, stop := startAuthd(t, authd, addr, walDir, "-devices", "1", "-cache", "262144")
 	key := provisions["dev-0"]
 	if key == "" {
 		t.Fatal("no provisioning line for dev-0")
@@ -65,10 +66,11 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("impostor not rejected:\n%s", out)
 	}
 
-	// Restart from persisted state: the same key keeps working.
+	// Kill the daemon and restart it from the WAL: the recovered key
+	// keeps working.
 	stop()
 	addr2 := freeAddr(t)
-	provisions2, stop2 := startAuthd(t, authd, addr2, statePath)
+	provisions2, stop2 := startAuthd(t, authd, addr2, walDir)
 	defer stop2()
 	if provisions2["dev-0"] != key {
 		t.Fatalf("restored key differs: %q vs %q", provisions2["dev-0"], key)
@@ -100,11 +102,11 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// startAuthd launches the daemon and parses its PROVISION lines,
-// returning id->keyhex and a stop function.
-func startAuthd(t *testing.T, bin, addr, statePath string, extra ...string) (map[string]string, func()) {
+// startAuthd launches the daemon on walDir and parses its PROVISION
+// lines, returning id->keyhex and a stop function that kills it.
+func startAuthd(t *testing.T, bin, addr, walDir string, extra ...string) (map[string]string, func()) {
 	t.Helper()
-	args := append([]string{"-addr", addr, "-state", statePath}, extra...)
+	args := append([]string{"-addr", addr, "-wal", walDir}, extra...)
 	cmd := exec.Command(bin, args...)
 	var buf syncBuffer
 	cmd.Stdout = &buf

@@ -12,31 +12,24 @@
 //
 // # Durability
 //
-// Two flags control persistence, and they compose:
+// -wal <dir> is the one persistence mode: every mutation (enrollment,
+// pair burn, key rotation, challenge-counter advance, delete) is
+// journaled to a write-ahead log before the operation returns, the log
+// is compacted into a snapshot every -compact interval and on SIGINT
+// drain, and boot recovers snapshot + journal tail — including after a
+// crash that tore the final record. A pair burned before a restart
+// stays burned after it, so no boot reissues a challenge an earlier
+// boot already sent.
 //
-//   - -state <file> is the snapshot-only mode: the enrollment database
-//     is loaded from the file if it exists and written (atomically:
-//     temp file + fsync + rename) right after enrollment. Pairs burned
-//     while serving traffic are NOT persisted — a crash forgets them.
-//     The file is written as a v3 binary snapshot; v1 and v2 JSON
-//     files, written before it, still load.
-//   - -wal <dir> is the durable mode: every mutation (enrollment, pair
-//     burn, key rotation, challenge-counter advance, delete) is
-//     journaled to a write-ahead log before the operation returns, the
-//     log is compacted into a snapshot every -compact interval and on
-//     SIGINT drain, and boot recovers snapshot + journal tail —
-//     including after a crash that tore the final record.
-//
-// When both are given, -wal wins for serving-time durability and
-// -state acts only as a seed: if the WAL directory is empty and the
-// state file exists, the database is imported from it (then
-// immediately snapshotted into the WAL directory). A populated WAL
-// directory ignores -state entirely.
+// Without -wal nothing survives a restart: the fleet is enrolled in
+// memory and forgotten on exit. A restart with the same -seed re-runs
+// the same seeded enrollment and challenge stream, so it issues the
+// earlier boot's challenges over the same pairs again.
 //
 // Usage:
 //
 //	authd [-addr :7430] [-devices 4] [-seed 1] [-bits 256] [-cache 1048576]
-//	      [-state db.snap] [-wal waldir] [-compact 1m] [-max-inflight 0]
+//	      [-wal waldir] [-compact 1m] [-max-inflight 0]
 //
 // -max-inflight caps concurrent transactions: beyond it the server
 // sheds with a retryable "unavailable" verdict instead of queueing
@@ -87,10 +80,8 @@ package main
 import (
 	"context"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"net"
 	"os"
@@ -109,7 +100,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "fleet seed (device i uses seed+i)")
 	bits := flag.Int("bits", 256, "challenge length in bits")
 	cacheBytes := flag.Int("cache", 1<<20, "simulated cache size in bytes")
-	statePath := flag.String("state", "", "enrollment database snapshot file (loaded if present, written after enrollment)")
 	walDir := flag.String("wal", "", "write-ahead log directory: journal every mutation, recover on boot (durable mode)")
 	compactEvery := flag.Duration("compact", time.Minute, "WAL compaction interval (every role with -wal)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent transactions before shedding with 'unavailable' (0 = unlimited)")
@@ -144,41 +134,12 @@ func main() {
 	}
 
 	if *walDir != "" {
-		runDurable(ctx, cfg, *walDir, *statePath, *addr, *devices, *seed, *cacheBytes, *compactEvery, *maxInflight)
+		runDurable(ctx, cfg, *walDir, *addr, *devices, *seed, *cacheBytes, *compactEvery, *maxInflight)
 		return
 	}
 
 	srv := authenticache.NewServer(cfg, *seed^0xd5e7)
-	if *statePath != "" {
-		f, err := os.Open(*statePath)
-		switch {
-		case err == nil:
-			if err := srv.LoadState(f); err != nil {
-				log.Fatalf("authd: load state: %v", err)
-			}
-			f.Close()
-			printProvisioned(srv, " (restored)")
-			if err := serve(ctx, srv, *addr, *maxInflight); err != nil {
-				log.Fatalf("authd: serve: %v", err)
-			}
-			return
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh start: fall through to enrollment.
-		default:
-			// Anything else (permissions, I/O) must NOT fall through:
-			// re-enrolling would overwrite the only copy of an
-			// existing enrollment database with a brand-new fleet.
-			log.Fatalf("authd: open state file: %v", err)
-		}
-	}
-
 	enrollFleet(ctx, srv, *devices, *seed, *cacheBytes)
-	if *statePath != "" {
-		if err := authenticache.AtomicWriteFile(*statePath, srv.SaveState); err != nil {
-			log.Fatalf("authd: save state: %v", err)
-		}
-		log.Printf("authd: enrollment database written to %s", *statePath)
-	}
 	if err := serve(ctx, srv, *addr, *maxInflight); err != nil {
 		log.Fatalf("authd: serve: %v", err)
 	}
@@ -186,37 +147,15 @@ func main() {
 
 // runDurable serves with the write-ahead log: recover on boot,
 // journal while serving, compact periodically, snapshot on drain.
-func runDurable(ctx context.Context, cfg authenticache.ServerConfig, walDir, statePath, addr string, devices int, seed uint64, cacheBytes int, compactEvery time.Duration, maxInflight int) {
+func runDurable(ctx context.Context, cfg authenticache.ServerConfig, walDir, addr string, devices int, seed uint64, cacheBytes int, compactEvery time.Duration, maxInflight int) {
 	ds, err := authenticache.OpenDurableServer(walDir, cfg, seed^0xd5e7, authenticache.WALOptions{})
 	if err != nil {
 		log.Fatalf("authd: open WAL: %v", err)
 	}
-	switch {
-	case len(ds.ClientIDs()) > 0:
-		log.Printf("authd: recovered %d clients from %s", len(ds.ClientIDs()), walDir)
+	if n := len(ds.ClientIDs()); n > 0 {
+		log.Printf("authd: recovered %d clients from %s", n, walDir)
 		printProvisioned(ds.Server, " (restored)")
-	case statePath != "":
-		// Empty WAL: seed it from the snapshot file if one exists.
-		f, err := os.Open(statePath)
-		switch {
-		case err == nil:
-			if err := ds.LoadState(f); err != nil {
-				log.Fatalf("authd: load state: %v", err)
-			}
-			f.Close()
-			// LoadState bypasses the journal; snapshot immediately so
-			// the imported database is durable in the WAL directory.
-			if err := ds.Compact(); err != nil {
-				log.Fatalf("authd: snapshot imported state: %v", err)
-			}
-			log.Printf("authd: imported enrollment database from %s", statePath)
-			printProvisioned(ds.Server, " (restored)")
-		case errors.Is(err, fs.ErrNotExist):
-			enrollFleet(ctx, ds.Server, devices, seed, cacheBytes)
-		default:
-			log.Fatalf("authd: open state file: %v", err)
-		}
-	default:
+	} else {
 		enrollFleet(ctx, ds.Server, devices, seed, cacheBytes)
 	}
 	// The enrollments above are journaled; fold them into a snapshot

@@ -93,8 +93,7 @@ type finding struct {
 // fixtureFindings is the exact set of diagnostics the fixture module
 // seeds: one per analyzer, except errtaxonomy (a bare errors.New
 // return plus a non-exhaustive Retryable switch), locks (an unguarded
-// field, an inverted lock order), release (a pooled buffer and a conn
-// leaked on one path each), schema (an asymmetric codec, a
+// field, an inverted lock order), schema (an asymmetric codec, a
 // non-exhaustive wal.Type switch), secretflow (a chained
 // secret-to-log flow, a reason-less //lint:sanitizes, a dangling
 // //lint:secret), and repinvariant (a stale-term accept, a Journal*
@@ -104,15 +103,12 @@ var fixtureFindings = []finding{
 	{"errtaxonomy", "auth/auth.go", 9, "returned error is a bare errors.New and escapes the *AuthError taxonomy; use authErr/authErrf (or &AuthError{...})"},
 	{"errtaxonomy", "auth/auth.go", 36, "Retryable's switch does not classify CodeOK: the code falls to the conservative no-retry default"},
 	{"schema", "codec/codec.go", 18, "codec asymmetry: AppendPing emits [u32] but DecodePing consumes [u64]"},
-	{"goroleak", "leak/leak.go", 7, "goroutine may block forever on this channel receive: the channel is never closed and there is no select escape"},
-	{"ctxcheck", "lib/lib.go", 8, "context.Background() is forbidden in library code; accept a context.Context from the caller (only cmd/, examples/ and tests mint root contexts)"},
 	{"locks", "locks/locks.go", 13, "field locks.Counter.n is guarded by mu; access it under c.mu.Lock, from a *Locked function, or on a freshly constructed record"},
 	{"locks", "order/order.go", 16, "acquires Outer.mu while holding Inner.mu, against the declared lock order storeShard.mu < clientRecord.mu < WAL.closedMu < Outer.mu < Inner.mu"},
 	{"release", "pool/pool.go", 11, "pooled buffer from wire.GetBuf \"e\" is not returned to the pool on every path on the path via fast"},
 	{"repinvariant", "rep/rep.go", 22, "term comparison with == is not monotonic: a term is a fencing token, compare with an ordering (>=, >) so stale terms are rejected and newer ones win"},
 	{"repinvariant", "rep/rep.go", 26, "mutation path JournalEnroll never reaches waitReplicated: replies must wait for the quorum-ack cluster journal, or a failover loses the write"},
 	{"repinvariant", "rep/rep.go", 35, "goroutine launched without lifecycle accounting: precede the go statement with wg.Add(1) so Close can wait for termination"},
-	{"release", "res/res.go", 13, "net.Conn from net.Dial \"c\" is not released on every path on the path via c.SetDeadline(time.Now().Add(time.Second)) != nil"},
 	{"secretflow", "secret/secret.go", 27, "secret Key value (declared //lint:secret) reaches log output (log.Println) via logf"},
 	{"secretflow", "secret/secret.go", 37, "lint:sanitizes directive needs a reason: //lint:sanitizes <why the output is clean>"},
 	{"secretflow", "secret/secret.go", 48, "misplaced //lint:secret directive: it must sit on a type, struct field, var, or func declaration"},

@@ -70,8 +70,8 @@ func (d *DurableServer) WALDir() string { return d.wal.Dir() }
 
 // AtomicWriteFile durably replaces path with the bytes produced by
 // write (temp file + fsync + rename + directory fsync). Exposed so
-// callers persisting plain -state snapshots get the same
-// crash-safety as WAL compaction.
+// callers persisting their own files (ackey's key bundles) get the
+// same crash-safety as WAL compaction.
 func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	return wal.AtomicWriteFile(path, write)
 }

@@ -263,7 +263,6 @@ func (ws *WireServer) acquire() func() {
 	}
 	select {
 	case ws.inflight <- struct{}{}:
-		//lint:ignore goroleak semaphore release: the paired send above deposited a token, so this receive can never block
 		return func() { <-ws.inflight }
 	default:
 		return nil

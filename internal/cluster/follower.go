@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/rng"
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -279,16 +278,12 @@ func (n *Node) followOnce(ctx context.Context, target int) (synced bool) {
 }
 
 // applyReplicated makes one shipped record durable and visible:
-// verbatim frame into the local log, decoded record onto the replica
-// through the idempotent appliers, both under applyMu so no
-// compaction falls between them.
+// verbatim frame into the local log, the record AppendFrame decoded
+// onto the replica through the idempotent appliers, both under applyMu
+// so no compaction falls between them.
 func (n *Node) applyReplicated(rr wire.RepRecord) error {
-	rec, err := wal.DecodeFrame(rr.Frame)
-	if err != nil {
-		return err
-	}
 	n.applyMu.Lock()
-	_, err = n.wal.AppendFrame(rr.Frame)
+	rec, err := n.wal.AppendFrame(rr.Frame)
 	if err == nil {
 		err = applyRecord(n.srv, rec)
 	}

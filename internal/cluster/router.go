@@ -19,10 +19,9 @@ import (
 // client id to its owning node and forwards the transaction halves
 // over pooled relay connections, pinning nothing heavier than the
 // open transaction handle locally (verdicts carry the confirmation
-// tag, so a router never holds session keys). A router can run
-// standalone (Self < 0) as a stateless ingress tier, or embedded in a
-// node (Self = that node's index) to short-circuit locally owned
-// clients.
+// tag, so a router never holds session keys). A router runs as a
+// stateless ingress tier (Self < 0), or beside a node (Self = that
+// node's index), which it then neither sends reads to nor probes.
 //
 // The router is also the cluster's resilience control plane. Every
 // peer gets a circuit breaker fed by attempt outcomes and by the
@@ -61,12 +60,9 @@ type RouterConfig struct {
 	// ClientPeers lists every node's client-facing address; the ring is
 	// built over their indexes.
 	ClientPeers []string
-	// Self is the index of the co-located node, served through Local
-	// without a network hop; -1 for a standalone router.
+	// Self is the index of the co-located node, kept out of read
+	// targets and probes; -1 for a standalone router.
 	Self int
-	// Local executes transactions for locally owned clients (required
-	// when Self >= 0).
-	Local auth.TxBackend
 
 	// Dial opens relay connections (default auth.DialRelay); chaos
 	// tests inject fault-gated dialers here.
@@ -251,9 +247,6 @@ func (r *Router) probeOne(ctx context.Context, node int) {
 // transaction handle for FinishAuth.
 func (r *Router) BeginAuth(ctx context.Context, id auth.ClientID) (*crp.Challenge, error) {
 	cands := r.ring.Owners(string(id), 2)
-	if cands[0] == r.cfg.Self && r.cfg.Local != nil {
-		return r.cfg.Local.BeginAuth(ctx, id)
-	}
 	ch, node, tx, err := r.beginAuthHedged(ctx, id, r.readTargets(cands))
 	if err != nil {
 		return nil, err
@@ -271,10 +264,9 @@ func (r *Router) BeginAuth(ctx context.Context, id auth.ClientID) (*crp.Challeng
 }
 
 // readTargets filters the hedging candidates for a read-path forward:
-// the local node is excluded (ownership short-circuits were handled
-// already), peers with open breakers are skipped, and a hedge
-// fallback known to be beyond the staleness bound is not worth an
-// attempt (its own guard would refuse anyway).
+// the co-located node is excluded, peers with open breakers are
+// skipped, and a hedge fallback known to be beyond the staleness bound
+// is not worth an attempt (its own guard would refuse anyway).
 func (r *Router) readTargets(cands []int) []int {
 	now := time.Now()
 	out := make([]int, 0, len(cands))
@@ -538,10 +530,6 @@ func (r *Router) account(node int, err error) {
 // FinishAuth forwards the closing half on the stream the winning
 // BeginAuth attempt left open, under its own carved deadline.
 func (r *Router) FinishAuth(ctx context.Context, id auth.ClientID, challengeID uint64, resp crp.Response) (auth.AuthVerdict, error) {
-	owner := r.ring.Owner(string(id))
-	if owner == r.cfg.Self && r.cfg.Local != nil {
-		return r.cfg.Local.FinishAuth(ctx, id, challengeID, resp)
-	}
 	r.mu.Lock()
 	p, ok := r.auths[authTxKey{id: id, chID: challengeID}]
 	delete(r.auths, authTxKey{id: id, chID: challengeID})
@@ -568,9 +556,6 @@ func (r *Router) FinishAuth(ctx context.Context, id auth.ClientID, challengeID u
 // twice.
 func (r *Router) BeginRemapTx(ctx context.Context, id auth.ClientID) (*auth.RemapRequest, error) {
 	owner := r.ring.Owner(string(id))
-	if owner == r.cfg.Self && r.cfg.Local != nil {
-		return r.cfg.Local.BeginRemapTx(ctx, id)
-	}
 	if !r.breakers[owner].Allow(time.Now()) {
 		return nil, unavailErrf(string(id), "node %d circuit open; key updates do not fail over", owner)
 	}
@@ -607,10 +592,6 @@ func (r *Router) BeginRemapTx(ctx context.Context, id auth.ClientID) (*auth.Rema
 
 // FinishRemapTx forwards the closing half of a key update.
 func (r *Router) FinishRemapTx(ctx context.Context, id auth.ClientID, success bool) error {
-	owner := r.ring.Owner(string(id))
-	if owner == r.cfg.Self && r.cfg.Local != nil {
-		return r.cfg.Local.FinishRemapTx(ctx, id, success)
-	}
 	r.mu.Lock()
 	p, ok := r.remaps[id]
 	delete(r.remaps, id)

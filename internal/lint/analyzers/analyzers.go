@@ -9,9 +9,7 @@ package analyzers
 import (
 	"repro/internal/lint"
 	"repro/internal/lint/atomicwrite"
-	"repro/internal/lint/ctxcheck"
 	"repro/internal/lint/errtaxonomy"
-	"repro/internal/lint/goroleak"
 	"repro/internal/lint/locks"
 	"repro/internal/lint/release"
 	"repro/internal/lint/repinvariant"
@@ -24,9 +22,7 @@ import (
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		atomicwrite.Analyzer,
-		ctxcheck.Analyzer,
 		errtaxonomy.Analyzer,
-		goroleak.Analyzer,
 		locks.Analyzer,
 		release.Analyzer,
 		repinvariant.Analyzer,

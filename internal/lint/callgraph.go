@@ -7,9 +7,10 @@ import (
 
 // Interprocedural facility: a package-level call graph over go/types
 // function objects. Analyzers that need to reason across function
-// boundaries (the locks analyzer's acquisition propagation, goroleak's
-// blocking-operation search) get it from Pass.CallGraph(); the graph
-// is built once per package and shared across analyzers.
+// boundaries (the locks analyzer's acquisition propagation,
+// repinvariant's quorum-reachability search) get it from
+// Pass.CallGraph(); the graph is built once per package and shared
+// across analyzers.
 //
 // Resolution is static: direct calls bind to the named function,
 // method calls bind through the static receiver type, and a call
@@ -36,9 +37,8 @@ type CallSite struct {
 	Targets []*types.Func
 	// Go marks a call that runs on a new goroutine: the call of a `go`
 	// statement, or any call lexically inside a function literal
-	// launched by one. Lock-order propagation must not cross Go edges
-	// (the goroutine has its own stack), and goroleak starts from
-	// them.
+	// launched by one. Lock-order propagation must not cross Go edges:
+	// the goroutine has its own stack.
 	Go bool
 	// Defer marks a call that runs at function exit: the call of a
 	// `defer` statement, or any call inside a deferred literal.
@@ -65,16 +65,6 @@ type CallGraph struct {
 	Nodes map[*types.Func]*CallNode
 	// order preserves declaration order for deterministic iteration.
 	order []*CallNode
-}
-
-// NodeOf returns the node for a callee object, or nil when obj is not
-// a function declared in this package.
-func (g *CallGraph) NodeOf(obj types.Object) *CallNode {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	return g.Nodes[fn]
 }
 
 // All returns the nodes in declaration order.

@@ -61,7 +61,7 @@ func TestUnusedIgnoreGatedOnRanAnalyzers(t *testing.T) {
 // a clean release is reported as stale, and the locks directive stays
 // untouched because locks did not run.
 func TestUnusedIgnoreFlowAnalyzers(t *testing.T) {
-	pkg, err := lint.LoadDir("testdata/src/poolix")
+	pkg, err := lint.LoadDir("testdata/src/repro/internal/wire")
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestUnusedIgnoreFlowAnalyzers(t *testing.T) {
 // stale locks directive is judged too, while the used release
 // suppression still holds.
 func TestUnusedIgnoreFlowAnalyzersGate(t *testing.T) {
-	pkg, err := lint.LoadDir("testdata/src/poolix")
+	pkg, err := lint.LoadDir("testdata/src/repro/internal/wire")
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}

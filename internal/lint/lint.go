@@ -85,8 +85,8 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 }
 
 // EdgePackage reports whether the package is a program edge: a path
-// segment equals cmd or examples. CLIs and examples run to exit and
-// own their process, so several analyzers exempt them.
+// segment equals cmd or examples. CLIs and examples print provisioned
+// keys as their user interface, so secretflow exempts them.
 func (p *Pass) EdgePackage() bool {
 	for _, seg := range strings.Split(p.PkgPath, "/") {
 		if seg == "cmd" || seg == "examples" {
@@ -335,8 +335,6 @@ type FuncScope struct {
 	Name string
 	// Body is the function body.
 	Body *ast.BlockStmt
-	// Type carries the signature AST.
-	Type *ast.FuncType
 	// Parent is the enclosing scope for literals (nil for decls).
 	Parent *FuncScope
 }
@@ -351,7 +349,7 @@ func FuncScopes(files []*ast.File) []*FuncScope {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			root := &FuncScope{Name: fd.Name.Name, Body: fd.Body, Type: fd.Type}
+			root := &FuncScope{Name: fd.Name.Name, Body: fd.Body}
 			out = append(out, root)
 			out = append(out, nestedLits(root)...)
 		}
@@ -369,7 +367,7 @@ func nestedLits(scope *FuncScope) []*FuncScope {
 			if !ok || m == n {
 				return true
 			}
-			child := &FuncScope{Body: lit.Body, Type: lit.Type, Parent: parent}
+			child := &FuncScope{Body: lit.Body, Parent: parent}
 			out = append(out, child)
 			walk(lit.Body, child)
 			return false // children handled by the recursive walk

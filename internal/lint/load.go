@@ -188,7 +188,7 @@ func typeCheck(fset *token.FileSet, imp types.Importer, path string, files []*as
 // the fixture loader behind linttest. The synthesized import path is
 // dir's path relative to the nearest "src" ancestor (mirroring the
 // analysistest testdata/src convention), so fixtures can exercise
-// path-sensitive rules (e.g. ctxcheck's cmd/ exemption).
+// path-sensitive rules (e.g. secretflow's cmd/ exemption).
 func LoadDir(dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

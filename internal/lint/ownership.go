@@ -1,14 +1,13 @@
 package lint
 
 // Must-release ownership analysis over the CFG facility, behind the
-// release analyzer's two seed sets. The engine tracks values a
-// configured acquisition call hands out (a pooled buffer, an open
-// conn) through a forward flow problem whose per-variable lattice is
-// the {live, released, escaped} powerset, and reports a leak when a
-// path can reach a function exit with the value still live, a double
-// release when a path releases twice (including a deferred release
-// running after an explicit one), and — in exact mode — any use after
-// release.
+// release analyzer's pool seeds. The engine tracks values a configured
+// acquisition call hands out (a pooled buffer) through a forward flow
+// problem whose per-variable lattice is the {live, released, escaped}
+// powerset, and reports a leak when a path can reach a function exit
+// with the value still live, a double release when a path releases
+// twice (including a deferred release running after an explicit one),
+// and any use after release.
 //
 // Ownership transfers interprocedurally through two fixpointed
 // summaries over the package: a per-formal "takes" disposition (the
@@ -34,8 +33,7 @@ const (
 	OwnDiscard
 	// OwnDoubleRelease: a path releases the same value twice.
 	OwnDoubleRelease
-	// OwnUseAfterRelease: the value is read or written after release
-	// (exact mode only).
+	// OwnUseAfterRelease: the value is read or written after release.
 	OwnUseAfterRelease
 	// OwnReassign: the variable is overwritten while still live,
 	// losing the only reference.
@@ -54,8 +52,7 @@ type OwnershipFinding struct {
 	// RelPos is the prior release site for double-release and
 	// use-after-release findings.
 	RelPos token.Pos
-	// Desc describes the resource ("pooled wire.Buf", "net.Conn from
-	// net.Dial").
+	// Desc describes the resource ("pooled buffer from wire.GetBuf").
 	Desc string
 	// Name is the variable holding the value ("" for discards).
 	Name string
@@ -71,8 +68,7 @@ type OwnershipConfig struct {
 	// multi-result acquisitions) and describes the resource.
 	Acquire func(call *ast.CallExpr) (desc string, ok bool)
 	// Release reports whether call releases a value and returns the
-	// released expression (the argument for PutBuf-style releases, the
-	// receiver for Close-style ones).
+	// released expression (the argument of a PutBuf-style release).
 	Release func(call *ast.CallExpr) (released ast.Expr, ok bool)
 	// Tracks reports whether a value of type t can carry the
 	// obligation at all. Only formals of tracked types are seeded into
@@ -80,10 +76,6 @@ type OwnershipConfig struct {
 	// wrap-and-return helper would pick up a bogus consumed-argument
 	// summary.
 	Tracks func(t types.Type) bool
-	// Exact additionally reports double releases and uses after
-	// release (pool discipline); leave false for idempotent releases
-	// like Close.
-	Exact bool
 }
 
 // ownBits is the per-path possibility set for one tracked value.
@@ -193,17 +185,15 @@ func (u *ownUnit) consumesFormal() bool {
 	}
 	// A unit with no tracked formal cannot consume anything a caller
 	// cares about: its disposition row would be all-false noise.
-	if u.eng.cfg.Tracks != nil {
-		tracked := false
-		for _, p := range u.formals {
-			if u.eng.cfg.Tracks(p.Type()) {
-				tracked = true
-				break
-			}
+	tracked := false
+	for _, p := range u.formals {
+		if u.eng.cfg.Tracks(p.Type()) {
+			tracked = true
+			break
 		}
-		if !tracked {
-			return false
-		}
+	}
+	if !tracked {
+		return false
 	}
 	found := false
 	ast.Inspect(u.body, func(n ast.Node) bool {
@@ -464,7 +454,7 @@ func boolsEqual(a, b []bool) bool {
 func (u *ownUnit) Boundary() any {
 	st := make(ownState, len(u.formals))
 	for _, p := range u.formals {
-		if u.eng.cfg.Tracks != nil && !u.eng.cfg.Tracks(p.Type()) {
+		if !u.eng.cfg.Tracks(p.Type()) {
 			continue
 		}
 		st[p] = vstate{bits: ownLive, acq: p.Pos(), desc: "parameter " + p.Name(), param: true}
@@ -690,9 +680,6 @@ func (u *ownUnit) checkExit(pre, post ownState, e *Edge, emit emitFn) {
 			emit(OwnershipFinding{Kind: OwnLeak, Pos: s.acq, AcqPos: s.acq, Desc: s.desc, Name: v.Name(), Via: via})
 		}
 	}
-	if !u.eng.cfg.Exact {
-		return
-	}
 	for v, s := range pre {
 		// A deferred release runs after this path already released
 		// explicitly: the defer is the second Put.
@@ -868,10 +855,10 @@ func (u *ownUnit) step(st ownState, n ast.Node, emit emitFn) {
 	u.escapeComposites(st, n)
 }
 
-// useScan reports uses of released values (exact mode). excluded
-// idents are release operands; defs are assignment targets.
+// useScan reports uses of released values. excluded idents are
+// release operands; defs are assignment targets.
 func (u *ownUnit) useScan(st ownState, n ast.Node, emit emitFn, excluded, defs map[*ast.Ident]bool) {
-	if !u.eng.cfg.Exact || emit == nil {
+	if emit == nil {
 		return
 	}
 	info := u.eng.pass.TypesInfo
@@ -895,7 +882,7 @@ func (u *ownUnit) useScan(st ownState, n ast.Node, emit emitFn, excluded, defs m
 }
 
 // applyCalls releases the operands of release calls in n, reporting
-// double releases in exact mode.
+// double releases.
 func (u *ownUnit) applyCalls(st ownState, n ast.Node, emit emitFn) {
 	ShallowInspect(n, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
@@ -914,7 +901,7 @@ func (u *ownUnit) release(st ownState, v *types.Var, pos token.Pos, emit emitFn)
 	if s.bits&ownEscaped != 0 {
 		return
 	}
-	if u.eng.cfg.Exact && emit != nil && s.bits == ownReleased {
+	if emit != nil && s.bits == ownReleased {
 		emit(OwnershipFinding{Kind: OwnDoubleRelease, Pos: pos, AcqPos: s.acq, RelPos: s.rel, Desc: s.desc, Name: v.Name()})
 	}
 	s.bits = s.bits&^ownLive | ownReleased
@@ -990,7 +977,7 @@ func (u *ownUnit) escapeCaptures(st ownState, n ast.Node) {
 func (u *ownUnit) armDefer(st ownState, ds *ast.DeferStmt, emit emitFn) {
 	arm := func(v *types.Var) {
 		s := st[v]
-		if u.eng.cfg.Exact && emit != nil && s.deferred {
+		if emit != nil && s.deferred {
 			emit(OwnershipFinding{Kind: OwnDoubleRelease, Pos: ds.Pos(), AcqPos: s.acq, RelPos: s.deferPos, Desc: s.desc, Name: v.Name()})
 		}
 		s.deferred = true
@@ -1146,7 +1133,7 @@ func (u *ownUnit) stepAssign(st ownState, as *ast.AssignStmt, emit emitFn) {
 	}
 
 	// Acquisitions: v := acquire() — the single-call form covers
-	// `conn, err := net.Dial(...)` (owned value is the first result).
+	// `b, err := newFrame(...)` (owned value is the first result).
 	lhsVar := func(lhs ast.Expr) *types.Var {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok || id.Name == "_" {
@@ -1169,7 +1156,7 @@ func (u *ownUnit) stepAssign(st ownState, as *ast.AssignStmt, emit emitFn) {
 		st[v] = vstate{bits: ownLive, acq: call.Pos(), desc: desc, errVar: errVar}
 	}
 	// errSibling finds the error-typed companion of a multi-result
-	// acquisition (`conn, err := net.Dial(...)`).
+	// acquisition (`b, err := newFrame(...)`).
 	errSibling := func() *types.Var {
 		for i := len(as.Lhs) - 1; i > 0; i-- {
 			if v := lhsVar(as.Lhs[i]); v != nil && isErrorType(v.Type()) {

@@ -18,8 +18,7 @@
 //     waitReplicated), every goroutine launch must be accounted —
 //     wg.Add(1) immediately before the go statement and a deferred
 //     wg.Done() in the launched body — so Close can actually wait for
-//     heartbeat/lease/stream goroutines to terminate (goroleak's
-//     termination rules, made structural).
+//     heartbeat/lease/stream goroutines to terminate.
 //
 // Test files are exempt throughout: tests legitimately pin exact
 // terms and launch helper goroutines. (The client-port fence that

@@ -18,6 +18,13 @@ func TestSecretFlow(t *testing.T) {
 	linttest.Run(t, secretflow.Analyzer, "testdata/src/secretpkg")
 }
 
+// TestEdgePackageExempt runs a secret-to-log flow under a cmd/ path:
+// program edges are exempt, so the fixture carries no want comments
+// and any diagnostic fails the test.
+func TestEdgePackageExempt(t *testing.T) {
+	linttest.Run(t, secretflow.Analyzer, "testdata/src/cmd/tool")
+}
+
 // TestDirectiveHygiene asserts the directive failure modes
 // programmatically: both diagnostics anchor on the directive comment,
 // and a want comment cannot share a //-comment's line.

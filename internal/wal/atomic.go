@@ -11,10 +11,10 @@ import (
 // write: the content goes to a temp file in the same directory, is
 // fsynced, renamed over path, and the directory entry is fsynced. A
 // crash at any point leaves either the old file or the new one —
-// never a truncated hybrid. Both the auth daemon's -state snapshots
-// and WAL compaction snapshots go through this helper; the classic
-// failure it prevents is os.Create over the only copy of the
-// enrollment database followed by a crash mid-write.
+// never a truncated hybrid. WAL compaction snapshots and ackey's key
+// bundles go through this helper; the classic failure it prevents is
+// os.Create over the only copy of the enrollment database followed by
+// a crash mid-write.
 func AtomicWriteFile(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

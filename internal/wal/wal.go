@@ -64,13 +64,10 @@ func putFrameHeader(hdr, payload []byte) {
 var ErrClosed = errors.New("wal: closed")
 
 // request is one unit of work for the writer goroutine: a frame to
-// append, or (frame == nil) a flush-and-rotate barrier. rec is the
-// decoded form of frame, carried along so the commit path can publish
-// it to subscribers without re-decoding; seq is assigned by the
-// writer once the record is durable.
+// append, or (frame == nil) a flush-and-rotate barrier. seq is
+// assigned by the writer once the record is durable.
 type request struct {
 	frame  []byte
-	rec    *Record
 	rotate bool
 	seq    uint64
 	errc   chan error
@@ -248,7 +245,7 @@ func (w *WAL) AppendRecord(rec *Record) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	req := &request{frame: frame, rec: rec, errc: make(chan error, 1)}
+	req := &request{frame: frame, errc: make(chan error, 1)}
 	if err := w.submit(req); err != nil {
 		return 0, err
 	}
@@ -256,21 +253,22 @@ func (w *WAL) AppendRecord(rec *Record) (uint64, error) {
 }
 
 // AppendFrame appends a frame produced by EncodeFrame (or shipped
-// verbatim from another log's subscriber) after verifying its CRC, so
-// a replica's segments stay byte-identical to the primary's. Returns
-// the local commit sequence number.
-func (w *WAL) AppendFrame(frame []byte) (uint64, error) {
+// verbatim from another log's subscriber) after verifying and decoding
+// it, so a replica's segments stay byte-identical to the primary's and
+// a corrupt frame is refused before anything is appended. Returns the
+// decoded record, which a replica applies without decoding the frame
+// again.
+func (w *WAL) AppendFrame(frame []byte) (*Record, error) {
 	rec, err := DecodeFrame(frame)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	own := make([]byte, len(frame))
 	copy(own, frame)
-	req := &request{frame: own, rec: rec, errc: make(chan error, 1)}
-	if err := w.submit(req); err != nil {
-		return 0, err
+	if err := w.submit(&request{frame: own, errc: make(chan error, 1)}); err != nil {
+		return nil, err
 	}
-	return req.seq, nil
+	return rec, nil
 }
 
 // EncodeFrame serialises rec as one on-disk log frame: the 8-byte
@@ -439,7 +437,7 @@ func (w *WAL) publish(batch []*request) {
 				continue
 			}
 			select {
-			case s.ch <- Committed{Seq: r.seq, Rec: r.rec, Frame: r.frame}:
+			case s.ch <- Committed{Seq: r.seq, Frame: r.frame}:
 			default:
 				ok = false
 			}
@@ -457,12 +455,11 @@ func (w *WAL) publish(batch []*request) {
 }
 
 // Committed is one durably-committed record as delivered to
-// subscribers. Rec and Frame alias the writer's buffers and must be
-// treated as read-only; Frame is the exact on-disk frame (header +
-// payload) and round-trips through DecodeFrame/AppendFrame.
+// subscribers. Frame aliases the writer's buffer and must be treated
+// as read-only; it is the exact on-disk frame (header + payload) and
+// round-trips through DecodeFrame/AppendFrame.
 type Committed struct {
 	Seq   uint64
-	Rec   *Record
 	Frame []byte
 }
 

@@ -58,11 +58,14 @@ go test -race -count=1 -run 'Chaos' .
 echo "== wal replay fuzz smoke (5s) =="
 go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s ./internal/wal/
 
+# Each wire input waits on a net.Pipe and the server's idle deadline,
+# so minimizing one new input would spend the whole smoke; a failing
+# input is still written to testdata/fuzz, just not minimized.
 echo "== wire server fuzz smoke (5s) =="
-go test -run '^$' -fuzz '^FuzzWireServer$' -fuzztime 5s ./internal/auth/
+go test -run '^$' -fuzz '^FuzzWireServer$' -fuzztime 5s -fuzzminimizetime 0 ./internal/auth/
 
 echo "== wire v2 fuzz smoke (5s) =="
-go test -run '^$' -fuzz '^FuzzWireServerV2$' -fuzztime 5s ./internal/auth/
+go test -run '^$' -fuzz '^FuzzWireServerV2$' -fuzztime 5s -fuzzminimizetime 0 ./internal/auth/
 
 echo "== wire codec fuzz smoke (5s) =="
 go test -run '^$' -fuzz '^FuzzDecoders$' -fuzztime 5s ./internal/wire/
