@@ -164,7 +164,7 @@ type ResilientClient = auth.ResilientClient
 
 // RetryPolicy tunes a ResilientClient's retry loop; the zero value
 // means 10 attempts from 10 ms backoff doubling to a 2 s cap with 50%
-// jitter.
+// jitter, drawn from a seed of the client's own.
 type RetryPolicy = auth.RetryPolicy
 
 // RetryStats counts a ResilientClient's attempts, retries,

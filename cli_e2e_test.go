@@ -3,6 +3,7 @@ package authenticache_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"net"
 	"os/exec"
 	"path/filepath"
@@ -33,6 +34,14 @@ func TestCLIEndToEnd(t *testing.T) {
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", b.pkg, err, out)
 		}
+	}
+
+	// Standalone authd without -wal would reissue its previous boot's
+	// challenges after a restart, so it must refuse to start.
+	noWAL, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if out, err := exec.CommandContext(noWAL, authd, "-addr", freeAddr(t), "-devices", "1", "-cache", "262144").CombinedOutput(); err == nil || !strings.Contains(string(out), "-wal") {
+		t.Fatalf("authd without -wal: err=%v, want a non-zero exit naming -wal:\n%s", err, out)
 	}
 
 	walDir := filepath.Join(dir, "wal")

@@ -377,7 +377,7 @@ func startClientFleet(b *testing.B, acfg authenticache.ServerConfig, nodeCount i
 		}
 		nodes[i] = n
 		b.Cleanup(func() { n.Close() })
-		ws, err := n.NewWireServer(authenticache.WireConfig{})
+		ws, err := authenticache.NewWireServerBackend(n.Backend(), authenticache.WireConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func startChaosCluster(t *testing.T) *clusterNodes {
 		}
 		cn.nodes = append(cn.nodes, n)
 
-		ws, err := n.NewWireServer(authenticache.WireConfig{})
+		ws, err := authenticache.NewWireServerBackend(n.Backend(), authenticache.WireConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

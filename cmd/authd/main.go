@@ -12,24 +12,23 @@
 //
 // # Durability
 //
-// -wal <dir> is the one persistence mode: every mutation (enrollment,
-// pair burn, key rotation, challenge-counter advance, delete) is
+// -wal <dir> is required by every role but the router: every mutation
+// (enrollment, pair burn, key rotation, challenge-counter advance) is
 // journaled to a write-ahead log before the operation returns, the log
 // is compacted into a snapshot every -compact interval and on SIGINT
 // drain, and boot recovers snapshot + journal tail — including after a
 // crash that tore the final record. A pair burned before a restart
 // stays burned after it, so no boot reissues a challenge an earlier
-// boot already sent.
-//
-// Without -wal nothing survives a restart: the fleet is enrolled in
-// memory and forgotten on exit. A restart with the same -seed re-runs
-// the same seeded enrollment and challenge stream, so it issues the
-// earlier boot's challenges over the same pairs again.
+// boot already sent. A server without the journal would re-run the
+// same seeded enrollment and challenge stream on every boot and
+// reissue the earlier boot's challenges over the same pairs, which an
+// eavesdropper could answer from recorded traffic; authd refuses to
+// start without -wal instead.
 //
 // Usage:
 //
-//	authd [-addr :7430] [-devices 4] [-seed 1] [-bits 256] [-cache 1048576]
-//	      [-wal waldir] [-compact 1m] [-max-inflight 0]
+//	authd -wal waldir [-addr :7430] [-devices 4] [-seed 1] [-bits 256]
+//	      [-cache 1048576] [-compact 1m] [-max-inflight 0]
 //
 // -max-inflight caps concurrent transactions: beyond it the server
 // sheds with a retryable "unavailable" verdict instead of queueing
@@ -64,7 +63,7 @@
 //     fast on an open owner circuit (DESIGN.md §11).
 //
 // Primary and follower compact their WAL every -compact interval and
-// on drain, as the standalone durable mode does.
+// on drain, as the standalone mode does.
 //
 // A local 3-node cluster with a router in front:
 //
@@ -100,7 +99,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "fleet seed (device i uses seed+i)")
 	bits := flag.Int("bits", 256, "challenge length in bits")
 	cacheBytes := flag.Int("cache", 1<<20, "simulated cache size in bytes")
-	walDir := flag.String("wal", "", "write-ahead log directory: journal every mutation, recover on boot (durable mode)")
+	walDir := flag.String("wal", "", "write-ahead log directory: journal every mutation, recover on boot (required by every role but router)")
 	compactEvery := flag.Duration("compact", time.Minute, "WAL compaction interval (every role with -wal)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent transactions before shedding with 'unavailable' (0 = unlimited)")
 	role := flag.String("role", "standalone", "cluster role: standalone, primary, follower, or router")
@@ -121,33 +120,24 @@ func main() {
 
 	switch *role {
 	case "standalone":
-		// Fall through to the single-node paths below.
+		runDurable(ctx, cfg, *walDir, *addr, *devices, *seed, *cacheBytes, *compactEvery, *maxInflight)
 	case "router":
 		runRouter(ctx, splitAddrs(*clientPeers), *addr, *maxInflight)
-		return
 	case "primary", "follower":
 		runClusterNode(ctx, cfg, *role, *nodeIdx, splitAddrs(*peers), splitAddrs(*clientPeers),
 			*walDir, *addr, *devices, *seed, *cacheBytes, *replicate, *compactEvery, *maxInflight)
-		return
 	default:
 		log.Fatalf("authd: unknown -role %q (standalone, primary, follower, router)", *role)
 	}
-
-	if *walDir != "" {
-		runDurable(ctx, cfg, *walDir, *addr, *devices, *seed, *cacheBytes, *compactEvery, *maxInflight)
-		return
-	}
-
-	srv := authenticache.NewServer(cfg, *seed^0xd5e7)
-	enrollFleet(ctx, srv, *devices, *seed, *cacheBytes)
-	if err := serve(ctx, srv, *addr, *maxInflight); err != nil {
-		log.Fatalf("authd: serve: %v", err)
-	}
 }
 
-// runDurable serves with the write-ahead log: recover on boot,
-// journal while serving, compact periodically, snapshot on drain.
+// runDurable serves one node with the write-ahead log: recover on
+// boot, journal while serving, compact periodically, snapshot on
+// drain.
 func runDurable(ctx context.Context, cfg authenticache.ServerConfig, walDir, addr string, devices int, seed uint64, cacheBytes int, compactEvery time.Duration, maxInflight int) {
+	if walDir == "" {
+		log.Fatal("authd: -role standalone requires -wal: without the journal a restart reissues the previous boot's challenges")
+	}
 	ds, err := authenticache.OpenDurableServer(walDir, cfg, seed^0xd5e7, authenticache.WALOptions{})
 	if err != nil {
 		log.Fatalf("authd: open WAL: %v", err)
@@ -353,7 +343,7 @@ func runClusterNode(ctx context.Context, cfg authenticache.ServerConfig, role st
 		log.Printf("authd: following the primary at %s", peers[node.Status().PrimaryIndex])
 	}
 
-	ws, err := node.NewWireServer(authenticache.WireConfig{MaxInFlight: maxInflight})
+	ws, err := authenticache.NewWireServerBackend(node.Backend(), authenticache.WireConfig{MaxInFlight: maxInflight})
 	if err != nil {
 		log.Fatalf("authd: %v", err)
 	}

@@ -11,7 +11,7 @@ import (
 // Durable serving: the write-ahead log subsystem wired through the
 // facade. A plain Server persists only when the caller snapshots it;
 // a DurableServer journals every mutation (enroll, pair burn, key
-// rotation, counter advance, delete) to an append-only log before the
+// rotation, counter advance) to an append-only log before the
 // mutating call returns, recovers snapshot+log on open, and compacts
 // the log back into a snapshot on demand. See internal/wal for the
 // on-disk format and DESIGN.md's Durability section for the

@@ -256,10 +256,10 @@ func TestDurableCompactionUnderVerifyTraffic(t *testing.T) {
 	}
 }
 
-// TestDurableRemapDeleteRecovery drives the remaining record types —
-// key rotation, counter advance, client delete — through a crash and
-// checks each survives recovery.
-func TestDurableRemapDeleteRecovery(t *testing.T) {
+// TestDurableRemapRecovery drives the remaining record types — key
+// rotation and counter advance — through a crash and checks each
+// survives recovery.
+func TestDurableRemapRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := authenticache.DefaultServerConfig()
 	cfg.ChallengeBits = 16
@@ -268,12 +268,8 @@ func TestDurableRemapDeleteRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := authenticache.ClientID("keep")
-	gone := authenticache.ClientID("gone")
 	// Two planes: 680 for auth, 700 reserved for key updates.
 	if _, err := ds.Enroll(dctx, keep, durableTestMap(1024, 40, 11, 680, 700), 700); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.Enroll(dctx, gone, durableTestMap(1024, 40, 12, 680)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ds.BeginRemap(dctx, keep); err != nil {
@@ -284,9 +280,6 @@ func TestDurableRemapDeleteRecovery(t *testing.T) {
 	}
 	rotated, err := ds.CurrentKey(keep)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.DeleteClient(dctx, gone); err != nil {
 		t.Fatal(err)
 	}
 
@@ -301,9 +294,6 @@ func TestDurableRemapDeleteRecovery(t *testing.T) {
 	}
 	if got != rotated {
 		t.Fatal("rotated key lost across crash recovery")
-	}
-	if rs.Enrolled(gone) {
-		t.Fatal("deleted client resurrected by recovery")
 	}
 	// The recovered server keeps serving: a fresh remap still works
 	// (reserved plane survived) and issue/verify runs on the new key.

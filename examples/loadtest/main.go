@@ -230,7 +230,7 @@ func startCluster(ctx context.Context, n int, cfg authenticache.ServerConfig) (*
 			return nil, err
 		}
 		c.nodes = append(c.nodes, node)
-		ws, err := node.NewWireServer(authenticache.WireConfig{})
+		ws, err := authenticache.NewWireServerBackend(node.Backend(), authenticache.WireConfig{})
 		if err != nil {
 			c.close()
 			return nil, err

@@ -231,7 +231,7 @@ func TestRemapProtocolRotatesKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(req.Challenge.Bits) != cfg.RemapKeyBits*5 {
+	if len(req.Challenge.Bits) != remapKeyBits*5 {
 		t.Fatalf("remap challenge bits = %d", len(req.Challenge.Bits))
 	}
 	if err := resp.HandleRemap(req); err != nil {

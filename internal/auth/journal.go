@@ -1,7 +1,6 @@
 package auth
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/crp"
@@ -10,9 +9,9 @@ import (
 )
 
 // Durability hooks. The server's in-memory mutations — enrollments,
-// pair burns, key rotations, challenge-counter advances, deletions —
-// can be journaled to a write-ahead log so that a crash between
-// snapshots loses nothing the protocol already committed to. The
+// pair burns, key rotations, challenge-counter advances — can be
+// journaled to a write-ahead log so that a crash between snapshots
+// loses nothing the protocol already committed to. The
 // critical invariant is the no-reuse registry: a burned pair the
 // server forgets can be reissued, and the challenge an attacker
 // recorded before the crash replays cleanly (the paper's Section 6.7
@@ -48,8 +47,6 @@ type Journal interface {
 	// JournalCounter records a counter advance that burns no pairs
 	// (key-update challenges draw from reserved planes).
 	JournalCounter(id string, nextID uint64) error
-	// JournalDelete records a client removal.
-	JournalDelete(id string) error
 }
 
 // AttachJournal installs the journal on a running server. Recovery
@@ -57,28 +54,6 @@ type Journal interface {
 // mutations are not re-journaled. Not safe to call concurrently with
 // traffic.
 func (s *Server) AttachJournal(j Journal) { s.journal = j }
-
-// DeleteClient removes an enrolled client, journaling the removal
-// first-class (a deleted client's burned pairs die with it — its
-// error map can never authenticate again, so the registry has nothing
-// left to protect).
-func (s *Server) DeleteClient(ctx context.Context, id ClientID) error {
-	if err := ctxErr(ctx, id); err != nil {
-		return err
-	}
-	if _, ok := s.store.Get(id); !ok {
-		return authErrf(CodeUnknownClient, id, "%w: %q", ErrUnknownClient, id)
-	}
-	if s.journal != nil {
-		if err := s.journal.JournalDelete(string(id)); err != nil {
-			return unavailableErr(id, err)
-		}
-	}
-	if !s.store.Delete(id) {
-		return authErrf(CodeUnknownClient, id, "%w: %q", ErrUnknownClient, id)
-	}
-	return nil
-}
 
 // Replay appliers. Recovery loads the latest snapshot and then feeds
 // the journal tail through these. Every applier is idempotent —
@@ -160,13 +135,6 @@ func (s *Server) ReplayCounter(id ClientID, nextID uint64) error {
 	if nextID > rec.nextID {
 		rec.nextID = nextID
 	}
-	return nil
-}
-
-// ReplayDelete reinstates a client removal; a client already absent
-// (snapshot taken after the delete) is a no-op.
-func (s *Server) ReplayDelete(id ClientID) error {
-	s.store.Delete(id)
 	return nil
 }
 

@@ -30,7 +30,6 @@ func (c *captureJournal) JournalBurn(_ string, pairs []crp.PairBit, nextID uint6
 }
 func (c *captureJournal) JournalRemap(string, [32]byte) error { return nil }
 func (c *captureJournal) JournalCounter(string, uint64) error { return nil }
-func (c *captureJournal) JournalDelete(string) error          { return nil }
 
 // A server rebuilt from a journal (crash recovery, or a follower
 // applying a primary's log) starts its deterministic challenge stream

@@ -58,7 +58,7 @@ func (s *Server) BeginRemap(ctx context.Context, id ClientID) (*RemapRequest, er
 	g := rec.physMap.Geometry()
 
 	// Response bits needed: keyBits * repetition factor.
-	respBits := s.cfg.RemapKeyBits * ecc.Repetition
+	respBits := remapKeyBits * ecc.Repetition
 	s.randMu.Lock()
 	ch := crp.Generate(g, respBits, vdd, s.rand)
 	s.randMu.Unlock()
@@ -81,13 +81,13 @@ func (s *Server) BeginRemap(ctx context.Context, id ClientID) (*RemapRequest, er
 		expected.SetBit(i, crp.ResponseBit(da, fa, db, fb))
 	}
 
-	secret := make([]byte, (s.cfg.RemapKeyBits+7)/8)
+	secret := make([]byte, (remapKeyBits+7)/8)
 	s.randMu.Lock()
 	for i := range secret {
 		secret[i] = byte(s.rand.Uint64())
 	}
 	s.randMu.Unlock()
-	helper, err := ecc.GenerateHelper(expected.Bits, s.cfg.RemapKeyBits, secret)
+	helper, err := ecc.GenerateHelper(expected.Bits, remapKeyBits, secret)
 	if err != nil {
 		return nil, authErr(CodeInternal, id, err)
 	}

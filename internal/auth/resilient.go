@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -30,7 +31,8 @@ type RetryPolicy struct {
 	// MaxDelay caps the grown backoff. 0 means 2 s.
 	MaxDelay time.Duration
 	// Seed drives the jitter stream, making a client's retry timing
-	// reproducible. 0 means a fixed default seed.
+	// reproducible. 0 draws a fresh seed per client, so a fleet that
+	// got shed together does not retry in lockstep.
 	Seed uint64
 }
 
@@ -54,7 +56,7 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 		p.MaxDelay = 2 * time.Second
 	}
 	if p.Seed == 0 {
-		p.Seed = 0x5e11f5ed
+		p.Seed = rand.Uint64()
 	}
 	return p
 }

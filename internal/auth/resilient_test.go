@@ -97,6 +97,25 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// Clients left on the zero policy must not back off in lockstep: a
+// fleet shed at the same instant would retry together again.
+func TestZeroSeedClientsJitterApart(t *testing.T) {
+	delays := func() []time.Duration {
+		rc := NewResilientClient("nowhere:0", RetryPolicy{}, Dial)
+		var out []time.Duration
+		for n := 1; n <= 8; n++ {
+			out = append(out, rc.policy.Delay(n, rc.rand))
+		}
+		return out
+	}
+	a, b := delays(), delays()
+	for i := range a {
+		if a[i] == b[i] {
+			t.Fatalf("retry %d: two zero-seed clients drew the same %v delay", i+1, a[i])
+		}
+	}
+}
+
 // startWireFaulty serves srv behind a fault-injecting listener.
 func startWireFaulty(t *testing.T, ws *WireServer, plan fault.ConnPlan) (addr string, stop func()) {
 	t.Helper()
@@ -275,74 +294,6 @@ func TestWireServerShedsAtMaxInFlight(t *testing.T) {
 	}
 }
 
-func TestWireServerShedsAtMaxConns(t *testing.T) {
-	srv, resp := wireFixture(t, 680, 700)
-	ws, err := NewWireServerConfig(srv, WireConfig{MaxConns: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, stop := startWireFaulty(t, ws, fault.ConnPlan{})
-	defer stop()
-
-	first, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
-	// A completed transaction guarantees the first connection is
-	// registered before the second dial races the accept loop.
-	if ok, err := first.Authenticate(ctx, resp); err != nil || !ok {
-		t.Fatalf("first conn auth: ok=%v err=%v", ok, err)
-	}
-
-	second, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	_, err = second.Authenticate(ctx, resp)
-	if CodeOf(err) != CodeUnavailable {
-		t.Fatalf("over-cap connection answered %v, want CodeUnavailable", err)
-	}
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("connection-cap error %v does not satisfy errors.Is(ErrUnavailable)", err)
-	}
-	if !Retryable(err) {
-		t.Fatal("connection-cap error must be retryable")
-	}
-	if !errors.Is(err, io.EOF) {
-		t.Fatalf("connection-cap error %v must carry io.EOF: the refused connection is gone", err)
-	}
-
-	// A resilient client rides the refusal out: its first attempt is
-	// refused, the first connection closes and the server releases its
-	// slot before the client redials, and the retry gets in.
-	dials := 0
-	rc := NewResilientClient(addr, fastPolicy(), func(ctx context.Context, addr string) (*WireClient, error) {
-		dials++
-		if dials == 2 {
-			first.Close()
-			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-				ws.mu.Lock()
-				open := len(ws.conns)
-				ws.mu.Unlock()
-				if open == 0 {
-					break
-				}
-			}
-		}
-		return Dial(ctx, addr)
-	})
-	defer rc.Close()
-	ok, err := rc.Authenticate(ctx, resp)
-	if err != nil || !ok {
-		t.Fatalf("resilient client at the connection cap: ok=%v err=%v (stats %+v)", ok, err, rc.Stats())
-	}
-	if rc.Stats().Unavailable == 0 {
-		t.Fatal("resilient client was never refused at the connection cap")
-	}
-}
-
 // staleBeginBackend forces the interleaving in which a key-update
 // begin outlives its connection: the first BeginRemapTx (whose client
 // has already hung up) is held until the retry's begin has returned,
@@ -456,11 +407,8 @@ func TestWireConfigValidate(t *testing.T) {
 		t.Fatalf("zero config must validate: %v", err)
 	}
 	bad := []WireConfig{
-		{MaxMessageBytes: -1},
 		{IdleTimeout: -time.Second},
 		{MaxInFlight: -1},
-		{MaxConns: -1},
-		{MaxStreamsPerConn: -1},
 	}
 	for _, cfg := range bad {
 		if _, err := NewWireServerConfig(nil, cfg); err == nil {

@@ -50,39 +50,39 @@ import (
 // ClientID names an enrolled device.
 type ClientID string
 
+// The binomial identifiability model that places the acceptance
+// threshold at the equal error rate (paper Section 2.2.3): pIntra is
+// the expected per-bit noise flip probability for genuine clients,
+// pInter the per-bit agreement probability for impostors (~0.5).
+// remapKeyBits is the secret length derived per key update.
+const (
+	pIntra       = 0.10
+	pInter       = 0.46
+	remapKeyBits = 128
+)
+
 // Config tunes the server.
 type Config struct {
 	// ChallengeBits is the CRP length issued by default.
 	ChallengeBits int
-	// PIntra and PInter parameterise the binomial identifiability
-	// model used to place the acceptance threshold at the equal error
-	// rate (paper Section 2.2.3). PIntra is the expected per-bit noise
-	// flip probability for genuine clients; PInter the per-bit
-	// agreement probability for impostors (~0.5).
-	PIntra, PInter float64
-	// RemapKeyBits is the secret length derived per key update.
-	RemapKeyBits int
 	// RemapAfterCRPs advises a key rotation once this many challenge
 	// bits have been issued under the current key — the Section 6.7
 	// model-building mitigation ("regenerate the logical map after a
 	// predefined number of CRPs"). 0 disables the advice.
 	RemapAfterCRPs int
 	// WAL, when non-nil, receives a durable journal record for every
-	// mutation (enroll, pair burn, key rotation, counter advance,
-	// delete) before the mutating call returns. Recovery flows attach
+	// mutation (enroll, pair burn, key rotation, counter advance)
+	// before the mutating call returns. Recovery flows attach
 	// the journal after replay instead (Server.AttachJournal) so
 	// replayed mutations are not re-journaled.
 	WAL Journal
 }
 
-// DefaultConfig mirrors the paper's operating point: 256-bit CRPs and
-// a threshold model with ~6% intra-chip noise.
+// DefaultConfig mirrors the paper's operating point: 256-bit CRPs
+// under the threshold model above.
 func DefaultConfig() Config {
 	return Config{
 		ChallengeBits: 256,
-		PIntra:        0.10,
-		PInter:        0.46,
-		RemapKeyBits:  128,
 		// The paper's win-rate attacker needs ~40K observed CRPs to
 		// leave the 50% floor (Figure 16); rotate well before that.
 		RemapAfterCRPs: 1 << 20,
@@ -120,9 +120,6 @@ type Server struct {
 func NewServer(cfg Config, seed uint64) *Server {
 	if cfg.ChallengeBits <= 0 {
 		panic("auth: config needs positive challenge length")
-	}
-	if cfg.RemapKeyBits <= 0 {
-		cfg.RemapKeyBits = 128
 	}
 	return &Server{
 		cfg:     cfg,
@@ -182,8 +179,7 @@ func (s *Server) SaltChallengeStream(salt uint64) {
 // stream, advances its client's counter and journals the advance, so
 // after recovery the sum differs from the sum every earlier boot that
 // drew from the stream started with: the per-boot salt recovery
-// needs. (Deleting a client lowers the sum, so a boot that deleted one
-// can share a salt with an earlier boot.)
+// needs.
 func (s *Server) ChallengeCount() uint64 {
 	var n uint64
 	s.store.Range(func(_ ClientID, rec *clientRecord) bool {

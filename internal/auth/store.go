@@ -90,7 +90,7 @@ func (s *Server) SaveState(w io.Writer) error {
 	for _, id := range s.store.IDs() {
 		rec, ok := s.store.Get(id)
 		if !ok {
-			continue // deleted mid-save
+			continue // an enrollment backed out mid-save
 		}
 		start := len(buf)
 		buf = append(buf, make([]byte, snapFrameLen)...)

@@ -8,14 +8,15 @@ import (
 )
 
 // Threshold returns the acceptance threshold (max tolerated differing
-// bits) for an n-bit response under the configured binomial model.
+// bits) for an n-bit response under the binomial model (pIntra,
+// pInter).
 // Results are cached per response length: the equal-error-rate scan is
 // O(n) with Lgamma per step and would otherwise dominate Verify.
 func (s *Server) Threshold(n int) int {
 	if t, ok := s.thresholds.Load(n); ok {
 		return t.(int)
 	}
-	t, _, _ := stats.EqualErrorRate(n, s.cfg.PIntra, s.cfg.PInter)
+	t, _, _ := stats.EqualErrorRate(n, pIntra, pInter)
 	s.thresholds.Store(n, t)
 	return t
 }

@@ -15,35 +15,29 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire hardening defaults. A malicious peer must not be able to pin
+// Wire hardening limits. A malicious peer must not be able to pin
 // server memory or goroutines: frames are size-capped, a connection's
 // concurrently open streams are capped (which bounds its memory, not
 // how many transactions it runs over its lifetime), and a peer that
 // goes silent mid-transaction is cut off by the idle deadline.
-// Operators tune these through WireConfig; the zero config keeps
-// these values.
 const (
-	// defaultMaxWireMessageBytes bounds one frame payload. The largest
+	// maxWireMessageBytes bounds one frame payload. The largest
 	// legitimate payload is a remap challenge (~640 pair bits plus
 	// helper data), far under this cap.
-	defaultMaxWireMessageBytes = 1 << 20
+	maxWireMessageBytes = 1 << 20
 	// defaultWireIdleTimeout cuts off peers that stall mid-transaction.
 	defaultWireIdleTimeout = 30 * time.Second
-	// defaultMaxStreamsPerConn bounds concurrently open streams on one
+	// maxStreamsPerConn bounds concurrently open streams on one
 	// connection (the per-connection pipelining depth the server will
-	// serve).
-	defaultMaxStreamsPerConn = 64
-	// refuseTimeout bounds the whole exchange with a connection turned
-	// away at the connection cap.
-	refuseTimeout = time.Second
+	// serve); a stream over the cap is shed with an unavailable error
+	// on that stream while the connection stays healthy.
+	maxStreamsPerConn = 64
 )
 
-// WireConfig tunes a WireServer's hardening limits and overload
-// behaviour. The zero value means "current defaults, no load
-// shedding", so existing callers and tests keep today's semantics.
+// WireConfig tunes a WireServer's overload behaviour and idle
+// deadline. The zero value means "30 s idle deadline, no load
+// shedding".
 type WireConfig struct {
-	// MaxMessageBytes caps one frame payload. 0 means 1 MiB.
-	MaxMessageBytes int
 	// IdleTimeout cuts off peers that stall mid-transaction. 0 means
 	// 30 s.
 	IdleTimeout time.Duration
@@ -53,35 +47,19 @@ type WireConfig struct {
 	// behind a saturated store — clients back off and retry. 0
 	// disables shedding.
 	MaxInFlight int
-	// MaxConns caps concurrently accepted connections. A connection
-	// over the cap receives one unavailable error frame on stream 0
-	// and is closed (accept-queue pressure relief). 0 disables the
-	// cap.
-	MaxConns int
-	// MaxStreamsPerConn caps concurrently open streams per connection;
-	// a stream over the cap is shed with an unavailable error on that
-	// stream while the connection stays healthy. 0 means 64.
-	MaxStreamsPerConn int
 }
 
 // withDefaults fills the zero fields with the documented defaults.
 func (c WireConfig) withDefaults() WireConfig {
-	if c.MaxMessageBytes == 0 {
-		c.MaxMessageBytes = defaultMaxWireMessageBytes
-	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = defaultWireIdleTimeout
-	}
-	if c.MaxStreamsPerConn == 0 {
-		c.MaxStreamsPerConn = defaultMaxStreamsPerConn
 	}
 	return c
 }
 
-// Validate rejects nonsensical limits (negative caps or timeout).
+// Validate rejects nonsensical limits (a negative cap or timeout).
 func (c WireConfig) Validate() error {
-	if c.MaxMessageBytes < 0 || c.IdleTimeout < 0 || c.MaxInFlight < 0 ||
-		c.MaxConns < 0 || c.MaxStreamsPerConn < 0 {
+	if c.IdleTimeout < 0 || c.MaxInFlight < 0 {
 		return authErrf(CodeInvalidRequest, "", "auth: wire config limits must be non-negative: %+v", c)
 	}
 	return nil
@@ -187,23 +165,9 @@ func (ws *WireServer) Serve(ctx context.Context, l net.Listener) error {
 			return err
 		}
 		ws.mu.Lock()
-		over := ws.cfg.MaxConns > 0 && len(ws.conns) >= ws.cfg.MaxConns
-		if !over {
-			ws.conns[conn] = struct{}{}
-		}
+		ws.conns[conn] = struct{}{}
 		ws.mu.Unlock()
 		ws.wg.Add(1)
-		if over {
-			// Accept-queue pressure: tell the peer to back off, off the
-			// accept loop and deadline-bounded so a dead peer cannot
-			// stall it.
-			go func() {
-				defer ws.wg.Done()
-				defer conn.Close()
-				ws.refuse(conn)
-			}()
-			continue
-		}
 		go func() {
 			defer ws.wg.Done()
 			defer func() {
@@ -215,29 +179,6 @@ func (ws *WireServer) Serve(ctx context.Context, l net.Listener) error {
 			ws.handle(ctx, conn)
 		}()
 	}
-}
-
-// refuse turns away a connection over the MaxConns cap with one
-// retryable unavailable error frame on stream 0, which no client ever
-// opens. It reads the preamble first and drains the peer's frames
-// until the peer hangs up: closing with unread input would reset the
-// connection and could destroy the error frame before the client
-// reads it.
-func (ws *WireServer) refuse(conn net.Conn) {
-	if err := conn.SetDeadline(time.Now().Add(refuseTimeout)); err != nil {
-		return
-	}
-	if !readPreamble(conn) {
-		return
-	}
-	frame := AppendErrorFrame(nil, 0, authErrf(CodeUnavailable, "",
-		"%w: connection cap %d reached", ErrUnavailable, ws.cfg.MaxConns))
-	if _, err := conn.Write(frame); err != nil {
-		return
-	}
-	// Best-effort: the drain ends at the peer's hang-up or the
-	// deadline, and the connection is closed either way.
-	_, _ = io.Copy(io.Discard, conn)
 }
 
 // Close stops the listener and tears down open connections.

@@ -2,10 +2,11 @@ package auth
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,33 +49,13 @@ func FuzzWireServer(f *testing.F) {
 	if _, err := srv.Enroll(ctx, "fuzz-dev", m); err != nil {
 		f.Fatal(err)
 	}
-	ws, err := NewWireServerConfig(srv, WireConfig{
-		MaxMessageBytes: 1 << 16,
-		IdleTimeout:     50 * time.Millisecond,
-	})
+	ws, err := NewWireServerConfig(srv, WireConfig{IdleTimeout: fuzzIdleTimeout})
 	if err != nil {
 		f.Fatal(err)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			ws.handle(context.Background(), server)
-			server.Close()
-		}()
-		// Drain whatever the handler writes so the synchronous pipe
-		// cannot deadlock on a response.
-		go io.Copy(io.Discard, client)
-		client.SetDeadline(time.Now().Add(2 * time.Second))
-		client.Write(data)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("handler did not return; idle deadline failed to fire")
-		}
-		client.Close()
+		serveFuzzInput(t, ws, data)
 	})
 }
 
@@ -106,10 +87,7 @@ func FuzzWireServerV2(f *testing.F) {
 	f.Add([]byte{16, 1, 8, 0, 0, 0, 0, 0, 0, 0, 3, 11, 0, 40})
 
 	srv := NewServer(DefaultConfig(), 9) // nothing enrolled
-	ws, err := NewWireServerConfig(srv, WireConfig{
-		MaxMessageBytes: 1 << 16,
-		IdleTimeout:     50 * time.Millisecond,
-	})
+	ws, err := NewWireServerConfig(srv, WireConfig{IdleTimeout: fuzzIdleTimeout})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -139,73 +117,87 @@ func FuzzWireServerV2(f *testing.F) {
 			out = append(out, frame...)
 		}
 
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			ws.handle(context.Background(), server)
-			server.Close()
-		}()
-		// Validate every frame the server emits while draining it.
-		violation := make(chan string, 1)
-		go func() {
-			br := bufio.NewReader(client)
-			b := wire.GetBuf()
-			defer wire.PutBuf(b)
-			for {
-				if err := wire.ReadFrameInto(br, b, 1<<20); err != nil {
-					return // EOF/closed pipe: server hung up
+		// Validate every frame the server emitted.
+		br := bufio.NewReader(bytes.NewReader(serveFuzzInput(t, ws, out)))
+		b := wire.GetBuf()
+		defer wire.PutBuf(b)
+		for wire.ReadFrameInto(br, b, 1<<20) == nil {
+			switch b.Op {
+			case wire.OpError:
+				code, _, msg, derr := wire.DecodeError(b.B)
+				if derr != nil {
+					t.Fatal("undecodable error frame: " + derr.Error())
 				}
-				switch b.Op {
-				case wire.OpError:
-					code, _, msg, derr := wire.DecodeError(b.B)
-					if derr != nil {
-						sendViolation(violation, "undecodable error frame: "+derr.Error())
-						return
-					}
-					if code == "" {
-						sendViolation(violation, "error frame without taxonomy code: "+msg)
-						return
-					}
-					var ae *AuthError
-					if !errors.As(errorFromWire(ErrorCode(code), "", msg), &ae) {
-						sendViolation(violation, "error frame did not reconstruct *AuthError: "+code)
-						return
-					}
-				case wire.OpVerdict:
-					v, derr := wire.DecodeVerdict(b.B)
-					if derr != nil {
-						sendViolation(violation, "undecodable verdict frame: "+derr.Error())
-						return
-					}
-					if v.Accepted {
-						sendViolation(violation, "forged accept: verdict accepted with nothing enrolled")
-						return
-					}
+				if code == "" {
+					t.Fatal("error frame without taxonomy code: " + msg)
+				}
+				var ae *AuthError
+				if !errors.As(errorFromWire(ErrorCode(code), "", msg), &ae) {
+					t.Fatal("error frame did not reconstruct *AuthError: " + code)
+				}
+			case wire.OpVerdict:
+				v, derr := wire.DecodeVerdict(b.B)
+				if derr != nil {
+					t.Fatal("undecodable verdict frame: " + derr.Error())
+				}
+				if v.Accepted {
+					t.Fatal("forged accept: verdict accepted with nothing enrolled")
 				}
 			}
-		}()
-		client.SetDeadline(time.Now().Add(2 * time.Second))
-		client.Write(out)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("v2 handler did not return; idle deadline failed to fire")
-		}
-		client.Close()
-		select {
-		case v := <-violation:
-			t.Fatal(v)
-		default:
 		}
 	})
 }
 
-// sendViolation reports the first invariant violation without
-// blocking the validator goroutine.
-func sendViolation(ch chan string, msg string) {
-	select {
-	case ch <- msg:
-	default:
+// fuzzIdleTimeout is the fuzzed servers' idle deadline. Each input is
+// in hand before its handler starts (fuzzConn), so the deadline only
+// ends the input; it is short so that waiting on it does not dominate
+// every input.
+const fuzzIdleTimeout = 5 * time.Millisecond
+
+// fuzzConn is the server end of a net.Pipe that carries one fuzz
+// input. Reads drain the input, then wait on the pipe, which nobody
+// writes, until the idle deadline fires; writes are captured instead
+// of waiting for a reader. Neither the input nor the replies race the
+// short deadline.
+type fuzzConn struct {
+	net.Conn
+	in  *bytes.Reader
+	mu  sync.Mutex
+	out bytes.Buffer
+}
+
+func (c *fuzzConn) Read(p []byte) (int, error) {
+	if c.in.Len() > 0 {
+		return c.in.Read(p)
 	}
+	return c.Conn.Read(p)
+}
+
+func (c *fuzzConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.out.Write(p)
+}
+
+// serveFuzzInput runs the connection handler over one input and
+// returns what the server wrote. The handler must return on its own:
+// past 5 s the idle deadline failed to fire.
+func serveFuzzInput(t *testing.T, ws *WireServer, input []byte) []byte {
+	client, server := net.Pipe()
+	defer client.Close()
+	conn := &fuzzConn{Conn: server, in: bytes.NewReader(input)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ws.handle(context.Background(), conn)
+		conn.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler did not return; idle deadline failed to fire")
+	}
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	return conn.out.Bytes()
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// A frame header claiming a payload over MaxMessageBytes must get the
+// A frame header claiming a payload over the 1 MiB frame cap must get the
 // connection dropped without the payload being read or buffered.
 func TestWireRejectsOversizedMessage(t *testing.T) {
 	srv, _ := wireFixture(t, 680)

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -71,20 +70,9 @@ func (c *clientV2) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 32<<10)
 	for {
 		b := wire.GetBuf()
-		if err := wire.ReadFrameInto(br, b, defaultMaxWireMessageBytes); err != nil {
+		if err := wire.ReadFrameInto(br, b, maxWireMessageBytes); err != nil {
 			wire.PutBuf(b)
 			c.readFailed(err)
-			return
-		}
-		if b.Stream == 0 && b.Op == wire.OpError {
-			// No client opens stream 0: an error there is the server
-			// refusing the whole connection (its connection cap). The
-			// server hangs up next, so io.EOF joins the chain and a
-			// ResilientClient redials instead of reusing this
-			// connection.
-			err := frameErr(b)
-			wire.PutBuf(b)
-			c.readFailed(fmt.Errorf("%w: %w", err, io.EOF))
 			return
 		}
 		c.mu.Lock()
@@ -138,7 +126,7 @@ func (c *clientV2) openStream(ctx context.Context, id ClientID) (clientStream, e
 	c.nextID++
 	if c.nextID == 0 {
 		// A connection has no transaction budget, so its ids can wrap;
-		// stream 0 carries only the server's connection refusal.
+		// stream 0 stays reserved for connection-level frames.
 		c.nextID = 1
 	}
 	c.streams[st.id] = st.ch
@@ -192,9 +180,8 @@ func (c *clientV2) recv(ctx context.Context, ch chan *wire.Buf) (*wire.Buf, erro
 
 // connLost reports the recorded reader failure: a clean server close
 // becomes a retryable unavailable with io.EOF in the chain
-// (ResilientClient redials on it), a refusal on stream 0 keeps the
-// server's typed error, and any other transport fault is returned
-// raw.
+// (ResilientClient redials on it), and any other transport fault is
+// returned raw.
 func (c *clientV2) connLost() error {
 	c.mu.Lock()
 	err := c.rerr
@@ -203,10 +190,6 @@ func (c *clientV2) connLost() error {
 }
 
 func connLostErr(err error) error {
-	var ae *AuthError
-	if errors.As(err, &ae) {
-		return err
-	}
 	if err == nil || errors.Is(err, io.EOF) {
 		return authErrf(CodeUnavailable, "", "%w: server closed connection: %w", ErrUnavailable, io.EOF)
 	}

@@ -81,7 +81,7 @@ func (c *v2conn) readLoop(ctx context.Context) {
 			return
 		}
 		b := wire.GetBuf()
-		if err := wire.ReadFrameInto(c.br, b, c.ws.cfg.MaxMessageBytes); err != nil {
+		if err := wire.ReadFrameInto(c.br, b, maxWireMessageBytes); err != nil {
 			wire.PutBuf(b)
 			return
 		}
@@ -129,14 +129,14 @@ func (c *v2conn) openStream(ctx context.Context, b *wire.Buf) bool {
 		wire.PutBuf(b)
 		return false
 	}
-	if len(c.streams) >= c.ws.cfg.MaxStreamsPerConn {
+	if len(c.streams) >= maxStreamsPerConn {
 		c.mu.Unlock()
 		stream := b.Stream
 		wire.PutBuf(b)
 		// Per-stream shedding: the connection stays healthy, only
 		// this transaction is refused.
 		c.sendErrV2(stream, authErrf(CodeUnavailable, "",
-			"%w: per-connection stream cap %d reached", ErrUnavailable, c.ws.cfg.MaxStreamsPerConn))
+			"%w: per-connection stream cap %d reached", ErrUnavailable, maxStreamsPerConn))
 		return true
 	}
 	st := &v2stream{id: b.Stream, inbox: make(chan *wire.Buf, 2)}

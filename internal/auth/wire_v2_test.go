@@ -504,7 +504,7 @@ func TestWireV2OutOfOrderCompletion(t *testing.T) {
 // and the streams under the cap keep working.
 func TestWireV2StreamCapSheds(t *testing.T) {
 	srv, resp := wireFixture(t, 680, 700)
-	addr, stop := startWireConfig(t, srv, WireConfig{MaxStreamsPerConn: 1})
+	addr, stop := startWireConfig(t, srv, WireConfig{})
 	defer stop()
 
 	conn, err := net.Dial("tcp", addr)
@@ -519,21 +519,37 @@ func TestWireV2StreamCapSheds(t *testing.T) {
 	br := bufio.NewReader(conn)
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 
-	// Stream 1 occupies the only slot (challenge unanswered).
-	if _, err := conn.Write(wire.AppendClientID(nil, 1, wire.OpAuthenticate, string(resp.ID))); err != nil {
-		t.Fatal(err)
+	// Streams 1..maxStreamsPerConn occupy every slot (challenges
+	// unanswered); stream 1's challenge is kept to finish below.
+	for id := uint32(1); id <= maxStreamsPerConn; id++ {
+		if _, err := conn.Write(wire.AppendClientID(nil, id, wire.OpAuthenticate, string(resp.ID))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b := wire.GetBuf()
-	defer wire.PutBuf(b)
-	if err := wire.ReadFrameInto(br, b, 1<<20); err != nil {
-		t.Fatal(err)
+	var b *wire.Buf
+	for range maxStreamsPerConn {
+		cb := wire.GetBuf()
+		if err := wire.ReadFrameInto(br, cb, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		if cb.Op != wire.OpChallenge {
+			t.Fatalf("stream %d: got op %q, want challenge", cb.Stream, cb.Op)
+		}
+		if cb.Stream == 1 {
+			b = cb
+			defer wire.PutBuf(b)
+		} else {
+			wire.PutBuf(cb)
+		}
 	}
-	if b.Stream != 1 || b.Op != wire.OpChallenge {
-		t.Fatalf("stream 1: got stream %d op %q, want challenge", b.Stream, b.Op)
+	if b == nil {
+		t.Fatal("no challenge on stream 1")
 	}
 
-	// Stream 2 must be shed with a retryable unavailable error.
-	if _, err := conn.Write(wire.AppendClientID(nil, 2, wire.OpAuthenticate, string(resp.ID))); err != nil {
+	// One stream over the cap must be shed with a retryable
+	// unavailable error.
+	over := uint32(maxStreamsPerConn + 1)
+	if _, err := conn.Write(wire.AppendClientID(nil, over, wire.OpAuthenticate, string(resp.ID))); err != nil {
 		t.Fatal(err)
 	}
 	eb := wire.GetBuf()
@@ -541,8 +557,8 @@ func TestWireV2StreamCapSheds(t *testing.T) {
 	if err := wire.ReadFrameInto(br, eb, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if eb.Stream != 2 || eb.Op != wire.OpError {
-		t.Fatalf("stream 2: got stream %d op %q, want error", eb.Stream, eb.Op)
+	if eb.Stream != over || eb.Op != wire.OpError {
+		t.Fatalf("stream %d: got stream %d op %q, want error", over, eb.Stream, eb.Op)
 	}
 	code, _, msg, err := wire.DecodeError(eb.B)
 	if err != nil {
@@ -578,6 +594,6 @@ func TestWireV2StreamCapSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !v.Accepted {
-		t.Fatal("stream 1 rejected after stream 2 was shed")
+		t.Fatalf("stream 1 rejected after stream %d was shed", over)
 	}
 }

@@ -65,8 +65,6 @@ func applyRecord(srv *auth.Server, rec *wal.Record) error {
 		return srv.ReplayRemap(id, rec.Key)
 	case wal.TypeCounter:
 		return srv.ReplayCounter(id, rec.NextID)
-	case wal.TypeDelete:
-		return srv.ReplayDelete(id)
 	}
 	return &auth.AuthError{
 		Code: auth.CodeInvalidRequest,

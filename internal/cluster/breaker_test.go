@@ -100,6 +100,33 @@ func TestBreakerCooldownJitterSeeded(t *testing.T) {
 	}
 }
 
+// Routers left on the zero seed must not re-probe a peer they saw fail
+// together in lockstep: each draws its own jitter seed.
+func TestZeroSeedRoutersJitterApart(t *testing.T) {
+	peers := []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}
+	now := time.Unix(1000, 0)
+	cooldowns := func() []time.Time {
+		r := NewRouter(RouterConfig{ClientPeers: peers, Self: -1})
+		defer r.Close()
+		var out []time.Time
+		for _, b := range r.breakers {
+			for range 5 {
+				b.Failure(now)
+			}
+			b.mu.Lock()
+			out = append(out, b.until)
+			b.mu.Unlock()
+		}
+		return out
+	}
+	a, b := cooldowns(), cooldowns()
+	for i := range a {
+		if a[i].Equal(b[i]) {
+			t.Fatalf("breaker %d: two zero-seed routers armed the same %v cooldown", i, a[i].Sub(now))
+		}
+	}
+}
+
 func TestRingOwnersDistinctAndStable(t *testing.T) {
 	r := NewRing(5)
 	for _, id := range []string{"alpha", "beta", "gamma", "device-17"} {

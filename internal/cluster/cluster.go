@@ -3,7 +3,7 @@
 //
 // Topology: single primary, N-1 followers, asynchronous log shipping
 // with synchronous acknowledgement. Every mutation (enrollment, pair
-// burn, key rotation, counter advance, delete) journals through the
+// burn, key rotation, counter advance) journals through the
 // primary's WAL exactly as on a single node; the WAL's Subscribe seam
 // then fans the committed frames out to each connected follower, which
 // appends the verbatim frame to its own log (byte-identical, CRC
@@ -380,11 +380,6 @@ func (n *Node) Server() *auth.Server { return n.srv }
 // primary, delegated issuance plus local verification when follower.
 // Wire servers for this node are built around it.
 func (n *Node) Backend() auth.TxBackend { return n.backend }
-
-// NewWireServer builds a wire server that serves this node's backend.
-func (n *Node) NewWireServer(cfg auth.WireConfig) (*auth.WireServer, error) {
-	return auth.NewWireServerBackend(n.backend, cfg)
-}
 
 // Role reports the node's current role.
 func (n *Node) Role() Role {

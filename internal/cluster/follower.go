@@ -38,7 +38,6 @@ func (n *Node) runFollower(ctx context.Context) {
 	policy := auth.RetryPolicy{
 		BaseDelay: n.cfg.RedialInterval,
 		MaxDelay:  20 * n.cfg.RedialInterval,
-		Seed:      1,
 	}.WithDefaults()
 	jitter := rng.New(0x5eedf011 ^ uint64(n.cfg.NodeIndex))
 	failed := 0

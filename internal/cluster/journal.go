@@ -41,10 +41,6 @@ func (j clusterJournal) JournalCounter(id string, nextID uint64) error {
 	return j.n.replicate(&wal.Record{Type: wal.TypeCounter, ClientID: id, NextID: nextID})
 }
 
-func (j clusterJournal) JournalDelete(id string) error {
-	return j.n.replicate(&wal.Record{Type: wal.TypeDelete, ClientID: id})
-}
-
 // replicate appends one record durably and waits for the configured
 // follower acknowledgements.
 func (n *Node) replicate(rec *wal.Record) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -86,7 +87,9 @@ type RouterConfig struct {
 	// ProbeInterval paces the background prober Start launches
 	// (default 250ms). Each probe is also bounded by one interval.
 	ProbeInterval time.Duration
-	// Seed drives breaker cooldown jitter (0 uses a fixed default).
+	// Seed drives breaker cooldown jitter, making it reproducible; 0
+	// draws a fresh seed per router, so routers that saw a peer fail
+	// together do not re-probe it in lockstep.
 	Seed uint64
 }
 
@@ -135,7 +138,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		cfg.ProbeInterval = 250 * time.Millisecond
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = 0xb4ea0e5
+		cfg.Seed = rand.Uint64()
 	}
 	cfg.Budget = cfg.Budget.WithBudgetDefaults()
 	r := &Router{

@@ -27,9 +27,9 @@
 // JournalRemap and JournalCounter — the per-record mutations — run
 // lexically inside the record's critical section (after a .mu.Lock()
 // with no intervening explicit .mu.Unlock()), or from a *Locked
-// function whose caller holds the lock. JournalEnroll and
-// JournalDelete are record-lifecycle events journaled outside any
-// record lock by design and are exempt.
+// function whose caller holds the lock. JournalEnroll is the
+// record-lifecycle event journaled outside any record lock by design
+// and is exempt.
 //
 // Order. Lock acquisitions — including those reached through calls —
 // must follow the declared hierarchy
@@ -100,7 +100,6 @@ var journalMethods = map[string]bool{
 	"JournalBurn":    true,
 	"JournalRemap":   true,
 	"JournalCounter": true,
-	"JournalDelete":  false,
 }
 
 // boundaryAcquires pins the other lock classes acquired behind the

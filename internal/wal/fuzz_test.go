@@ -15,7 +15,7 @@ func FuzzWALReplay(f *testing.F) {
 	for _, rec := range []*Record{
 		{Type: TypeEnroll, ClientID: "dev-0", MapBytes: []byte{1, 2, 3}, Key: [32]byte{7}, Reserved: []int{680}},
 		{Type: TypeBurn, ClientID: "dev-0", Pairs: nil, NextID: 1, CRPsSinceRemap: 64},
-		{Type: TypeDelete, ClientID: "dev-0"},
+		{Type: TypeCounter, ClientID: "dev-0", NextID: 2},
 	} {
 		valid = appendFrame(valid, rec)
 	}

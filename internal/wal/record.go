@@ -9,9 +9,9 @@
 // burned between snapshots must hit stable storage before the
 // challenge leaves the server. The WAL records exactly the mutations
 // the auth layer performs (enroll, pair burn, key rotation, challenge
-// counter advance, client delete); recovery loads the latest snapshot
-// and replays the log tail; compaction folds sealed segments into a
-// fresh snapshot and deletes them.
+// counter advance); recovery loads the latest snapshot and replays the
+// log tail; compaction folds sealed segments into a fresh snapshot and
+// deletes them.
 //
 // # On-disk format
 //
@@ -70,8 +70,8 @@ const (
 	// TypeCounter captures a challenge-counter advance that burns no
 	// pairs (a key-update transaction drawing from a reserved plane).
 	TypeCounter Type = 4
-	// TypeDelete captures a client removal.
-	TypeDelete Type = 5
+	// Type 5 is retired and never reused: it was a client removal that
+	// no deployment ever wrote, and the decoder refuses it as unknown.
 )
 
 func (t Type) String() string {
@@ -84,8 +84,6 @@ func (t Type) String() string {
 		return "remap"
 	case TypeCounter:
 		return "counter"
-	case TypeDelete:
-		return "delete"
 	}
 	return fmt.Sprintf("wal.Type(%d)", uint8(t))
 }
@@ -145,8 +143,6 @@ func encodePayload(r *Record) []byte {
 		buf = append(buf, r.Key[:]...)
 	case TypeCounter:
 		buf = binary.AppendUvarint(buf, r.NextID)
-	case TypeDelete:
-		// Client id only.
 	}
 	return buf
 }
@@ -221,8 +217,6 @@ func decodePayload(buf []byte) (*Record, error) {
 		if r.NextID, err = d.uvarint(); err != nil {
 			return nil, err
 		}
-	case TypeDelete:
-		// Client id only.
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", buf[0])
 	}

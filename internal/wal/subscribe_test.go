@@ -182,7 +182,7 @@ func TestAppendFrameRejectsCorruptFrame(t *testing.T) {
 	}
 	defer w.Close()
 
-	frame, err := EncodeFrame(&Record{Type: TypeDelete, ClientID: "dev-0"})
+	frame, err := EncodeFrame(&Record{Type: TypeCounter, ClientID: "dev-0", NextID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

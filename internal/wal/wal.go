@@ -654,9 +654,9 @@ func (w *WAL) Compact(save func(io.Writer) error) error {
 	return w.opt.FS.SyncDir(w.dir)
 }
 
-// JournalEnroll, JournalBurn, JournalRemap, JournalCounter and
-// JournalDelete implement the auth layer's Journal interface, mapping
-// each mutation onto its record type.
+// JournalEnroll, JournalBurn, JournalRemap and JournalCounter
+// implement the auth layer's Journal interface, mapping each mutation
+// onto its record type.
 
 func (w *WAL) JournalEnroll(id string, mapBytes []byte, key [32]byte, reserved []int) error {
 	return w.Append(&Record{Type: TypeEnroll, ClientID: id, MapBytes: mapBytes, Key: key, Reserved: reserved})
@@ -672,10 +672,6 @@ func (w *WAL) JournalRemap(id string, newKey [32]byte) error {
 
 func (w *WAL) JournalCounter(id string, nextID uint64) error {
 	return w.Append(&Record{Type: TypeCounter, ClientID: id, NextID: nextID})
-}
-
-func (w *WAL) JournalDelete(id string) error {
-	return w.Append(&Record{Type: TypeDelete, ClientID: id})
 }
 
 // segmentPath names segment idx inside dir.

@@ -43,7 +43,6 @@ func sampleRecords() []*Record {
 		},
 		{Type: TypeCounter, ClientID: "dev-0", NextID: 8},
 		{Type: TypeRemap, ClientID: "dev-0", Key: [32]byte{0xaa, 31: 0xbb}},
-		{Type: TypeDelete, ClientID: "dev-0"},
 	}
 }
 
@@ -60,9 +59,17 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	payload := encodePayload(&Record{Type: TypeDelete, ClientID: "x"})
+	payload := encodePayload(&Record{Type: TypeCounter, ClientID: "x", NextID: 3})
 	if _, err := decodePayload(append(payload, 0x01)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+func TestDecodeRefusesRetiredType(t *testing.T) {
+	// Type 5 was a client removal no deployment ever wrote; it is
+	// retired, never reused, and decodes as unknown.
+	if _, err := decodePayload([]byte{5, 0}); err == nil {
+		t.Fatal("retired record type 5 accepted")
 	}
 }
 
